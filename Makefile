@@ -31,7 +31,11 @@
 #                          colload -fabric; cluster ledger reconciliation
 #                          (BENCH_PR8.json)
 #   conformance / cover  - differential oracle matrix + coverage gate
-#   multicore            - MSI -race sweep, stepper determinism, BENCH_PR5
+#   multicore            - MSI -race sweep, stepper determinism (replicated
+#                          disjoint traces and contended idct shards),
+#                          BENCH_PR5
+#   perfbench-test       - perfbench's own tests: a short run of every
+#                          workload and a corrupted result that must fail
 #   watch                - live-inspection smoke: colserved streams SSE
 #                          occupancy frames for a running job, retains
 #                          them for time travel, and colwatch replays a
@@ -40,7 +44,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint bench benchcore benchcore-baseline smoke servebench cachebench recovery fabric fabricbench conformance cover multicore watch ci
+.PHONY: build test race lint bench benchcore benchcore-baseline smoke servebench cachebench recovery fabric fabricbench conformance cover multicore perfbench-test watch ci
 
 build:
 	$(GO) build ./...
@@ -202,7 +206,10 @@ conformance:
 # the stepper's determinism — the interference study must be byte-identical
 # at any -jobs value, and the epoch-parallel stepper must print the exact
 # serial output at any epoch length — and a throughput snapshot for both
-# steppers at 1/2/4/8 cores in BENCH_PR5.json.
+# steppers at 1/2/4/8 cores in BENCH_PR5.json. The first colsim legs
+# replicate one trace into disjoint per-core windows, so their epochs
+# merge; the idct shard leg deals one trace round-robin across the cores,
+# so the cores share lines and the epoch stepper rolls back and backs off.
 multicore:
 	$(GO) test -race ./internal/multicore
 	$(GO) build -o /tmp/paperbench ./cmd/paperbench
@@ -215,8 +222,19 @@ multicore:
 	/tmp/colsim -cores 4 -synth random -n 50000 -parallel -epoch 64 > /tmp/mc-step-k64.txt
 	cmp /tmp/mc-step-serial.txt /tmp/mc-step-k1.txt
 	cmp /tmp/mc-step-k1.txt /tmp/mc-step-k64.txt
+	$(GO) build -o /tmp/tracegen ./cmd/tracegen
+	/tmp/tracegen -workload idct -shards 4 -o /tmp/mc-idct.txt
+	/tmp/colsim -cores 4 /tmp/mc-idct.0.txt /tmp/mc-idct.1.txt /tmp/mc-idct.2.txt /tmp/mc-idct.3.txt > /tmp/mc-shard-serial.txt
+	/tmp/colsim -cores 4 -parallel -epoch 64 /tmp/mc-idct.0.txt /tmp/mc-idct.1.txt /tmp/mc-idct.2.txt /tmp/mc-idct.3.txt > /tmp/mc-shard-k64.txt
+	cmp /tmp/mc-shard-serial.txt /tmp/mc-shard-k64.txt
 	/tmp/paperbench -quick -mcscale BENCH_PR5.json
 	test -s BENCH_PR5.json
+
+# The benchmark's own tests (perfbench is a separate Go module, so the
+# root `go test ./...` skips it): a short plain and traced run of every
+# workload, and a corrupted result that must fail the run.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Live-inspection smoke. Three legs: colsim dumps a deterministic frame
 # sequence — byte-identical between the serial and epoch-parallel
@@ -265,4 +283,4 @@ cover:
 		} \
 		END { if (bad) { print "coverage below the 85% gate"; exit 1 } }'
 
-ci: build lint test race bench benchcore smoke servebench cachebench recovery fabric conformance cover multicore watch
+ci: build lint test race bench benchcore smoke servebench cachebench recovery fabric conformance cover multicore perfbench-test watch

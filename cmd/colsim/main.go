@@ -418,6 +418,10 @@ func runMulticore(traces []memtrace.Trace, cores, lineBytes, sets, ways, pageByt
 	switch {
 	case parallel:
 		err = m.RunParallel(epoch)
+		if err == nil {
+			// stderr, so -parallel stdout stays byte-identical to serial.
+			fmt.Fprintln(os.Stderr, epochSummary(m.EpochStats()))
+		}
 	case inspEvery > 0:
 		// Only the checkpointing stepper fires the inspector; the tight
 		// Run loop skips all per-step bookkeeping.
@@ -451,6 +455,16 @@ func runMulticore(traces []memtrace.Trace, cores, lineBytes, sets, ways, pageByt
 	fmt.Printf("L2:           %s\n", st.L2)
 	fmt.Printf("makespan:     %d cycles (aggregate CPI %.3f)\n", st.Cycles, st.CPI())
 	return nil
+}
+
+// epochSummary is -parallel's one-line report of the stepper path taken.
+func epochSummary(es multicore.EpochStats) string {
+	path := "ran epochs"
+	if es.Fallback != "" {
+		path = "fell back to serial (" + es.Fallback + ")"
+	}
+	return fmt.Sprintf("colsim: parallel stepper %s: epochs=%d conflict_epochs=%d serial_windows=%d lookahead_accesses=%d direct_accesses=%d",
+		path, es.Epochs, es.ConflictEpochs, es.SerialWindows, es.LookaheadAccesses, es.DirectAccesses)
 }
 
 // openInspectOut opens the occupancy-frame JSONL destination; "-" means

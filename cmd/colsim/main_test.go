@@ -1,11 +1,13 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"colcache/internal/cache"
 	"colcache/internal/memory"
 	"colcache/internal/memsys"
+	"colcache/internal/multicore"
 	"colcache/internal/replacement"
 )
 
@@ -132,5 +134,17 @@ func TestJobMaskFlag(t *testing.T) {
 		if err := j.Set(bad); err == nil {
 			t.Errorf("Set(%q) succeeded", bad)
 		}
+	}
+}
+
+func TestEpochSummaryNamesThePath(t *testing.T) {
+	got := epochSummary(multicore.EpochStats{Epochs: 3, ConflictEpochs: 1, SerialWindows: 4, LookaheadAccesses: 90, DirectAccesses: 2})
+	want := "colsim: parallel stepper ran epochs: epochs=3 conflict_epochs=1 serial_windows=4 lookahead_accesses=90 direct_accesses=2"
+	if got != want {
+		t.Errorf("epoch run:\n got %q\nwant %q", got, want)
+	}
+	got = epochSummary(multicore.EpochStats{Fallback: multicore.FallbackInspector})
+	if !strings.Contains(got, "fell back to serial (inspector)") || !strings.Contains(got, "epochs=0") {
+		t.Errorf("fallback run: %q", got)
 	}
 }

@@ -116,7 +116,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		mcDivs, err := runner.Map(context.Background(), mcs,
 			func(_ context.Context, c conform.MCCase, _ int) (*conform.Divergence, error) {
-				return conform.RunMCCase(c), nil
+				_, d := conform.RunMCCase(c)
+				return d, nil
 			},
 			runner.Options{Workers: *jobs})
 		if err != nil {

@@ -177,61 +177,64 @@ func mcDumpLines(ch *cache.Cache) []cache.LineState {
 	return out
 }
 
-// RunMCCase runs one case through both steppers and returns the first
+// RunMCCase runs one case through both steppers and returns the epoch
+// stepper's counters — which paths the case exercised — with the first
 // observable divergence, or nil if the machines are identical.
-func RunMCCase(c MCCase) *Divergence {
+func RunMCCase(c MCCase) (es multicore.EpochStats, _ *Divergence) {
 	fail := func(format string, args ...any) *Divergence {
 		return &Divergence{Case: c.Name, Step: -1, Detail: fmt.Sprintf(format, args...)}
 	}
 	serial, err := mcBuild(c)
 	if err != nil {
-		return fail("building serial machine: %v", err)
+		return es, fail("building serial machine: %v", err)
 	}
 	parallel, err := mcBuild(c)
 	if err != nil {
-		return fail("building parallel machine: %v", err)
+		return es, fail("building parallel machine: %v", err)
 	}
 	if err := serial.Run(); err != nil {
-		return fail("serial stepper: coherence violation: %v", err)
+		return es, fail("serial stepper: coherence violation: %v", err)
 	}
-	if err := parallel.RunParallel(c.Epoch); err != nil {
-		return fail("epoch stepper (K=%d): coherence violation: %v", c.Epoch, err)
+	err = parallel.RunParallel(c.Epoch)
+	es = parallel.EpochStats()
+	if err != nil {
+		return es, fail("epoch stepper (K=%d): coherence violation: %v", c.Epoch, err)
 	}
 	if err := serial.CheckInvariants(); err != nil {
-		return fail("serial final invariants: %v", err)
+		return es, fail("serial final invariants: %v", err)
 	}
 	if err := parallel.CheckInvariants(); err != nil {
-		return fail("parallel final invariants (K=%d): %v", c.Epoch, err)
+		return es, fail("parallel final invariants (K=%d): %v", c.Epoch, err)
 	}
 
 	ss, sp := serial.Stats(), parallel.Stats()
 	if !reflect.DeepEqual(ss, sp) {
 		for i := range ss.Cores {
 			if !reflect.DeepEqual(ss.Cores[i], sp.Cores[i]) {
-				return fail("K=%d: core %d stats diverge:\nserial:   %+v\nparallel: %+v",
+				return es, fail("K=%d: core %d stats diverge:\nserial:   %+v\nparallel: %+v",
 					c.Epoch, i, ss.Cores[i], sp.Cores[i])
 			}
 		}
-		return fail("K=%d: machine stats diverge:\nserial:   bus=%+v l2=%+v ledger=%d/%d\nparallel: bus=%+v l2=%+v ledger=%d/%d",
+		return es, fail("K=%d: machine stats diverge:\nserial:   bus=%+v l2=%+v ledger=%d/%d\nparallel: bus=%+v l2=%+v ledger=%d/%d",
 			c.Epoch, ss.Bus, ss.L2, ss.DirtyCreated, ss.DirtyRetired,
 			sp.Bus, sp.L2, sp.DirtyCreated, sp.DirtyRetired)
 	}
 	for i := 0; i < serial.NumCores(); i++ {
 		if !reflect.DeepEqual(mcDumpLines(serial.L1(i)), mcDumpLines(parallel.L1(i))) {
-			return fail("K=%d: core %d L1 contents diverge", c.Epoch, i)
+			return es, fail("K=%d: core %d L1 contents diverge", c.Epoch, i)
 		}
 		if ms, mp := serial.L2Mask(i), parallel.L2Mask(i); ms != mp {
-			return fail("K=%d: core %d L2 mask diverges: %s vs %s", c.Epoch, i, ms, mp)
+			return es, fail("K=%d: core %d L2 mask diverges: %s vs %s", c.Epoch, i, ms, mp)
 		}
 	}
 	if !reflect.DeepEqual(mcDumpLines(serial.L2()), mcDumpLines(parallel.L2())) {
-		return fail("K=%d: L2 contents diverge", c.Epoch)
+		return es, fail("K=%d: L2 contents diverge", c.Epoch)
 	}
 
 	// The sweep must exercise real machines: a case with no bus or L2
 	// traffic wouldn't witness the equivalence it claims to.
 	if ss.Bus.Reads == 0 || ss.L2.Accesses == 0 {
-		return fail("degenerate case: no bus/L2 traffic")
+		return es, fail("degenerate case: no bus/L2 traffic")
 	}
-	return nil
+	return es, nil
 }

@@ -35,6 +35,9 @@ type ScalingResult struct {
 	SimCycles    int64   `json:"simCycles"`              // makespan of the co-run
 	WallSeconds  float64 `json:"wallSeconds"`            // host time for the Run
 	CyclesPerSec float64 `json:"cyclesPerSec"`           // SimCycles / WallSeconds
+	// SerialWindows counts the epoch stepper's conflict-backoff windows;
+	// on these disjoint-window traces nothing conflicts, so it stays 0.
+	SerialWindows int64 `json:"serialWindows,omitempty"`
 }
 
 // scalingTrace builds core i's benchmark trace: the idct reference stream
@@ -115,6 +118,7 @@ func runScaling(coreCounts []int, accessesPerCore int, parallel bool, epochCycle
 		if parallel {
 			r.Parallel = true
 			r.EpochCycles = epochCycles
+			r.SerialWindows = m.EpochStats().SerialWindows
 		}
 		if wall > 0 {
 			r.CyclesPerSec = float64(r.SimCycles) / wall

@@ -9,6 +9,14 @@ package multicore
 // than 1-core. This file removes that bottleneck without giving up one bit
 // of determinism, in epochs of K simulated cycles:
 //
+//  0. Backoff. After an epoch rolls back, the next few windows of K cycles
+//     skip speculation and run straight through the serial replay path
+//     (serialWindow, step 3's fallback): no snapshot, no lookahead, no
+//     merge. The number of windows skipped starts at backoffInitial,
+//     doubles on each consecutive rollback up to backoffMax, and resets on
+//     the first clean merge. Each skipped window still ends at a K-cycle
+//     barrier, so cancellation, checkpoint reporting and the Checks-mode
+//     invariant walk behave exactly as they do after a merged epoch.
 //  1. Snapshot. The whole machine state (flat L1/L2 arrays, TLBs, every
 //     counter) is captured; on the flat SoA state from PR 6 this is a few
 //     contiguous copies.
@@ -83,6 +91,47 @@ import (
 // conflict window (and a rollback's wasted work) stays small.
 const DefaultEpochCycles = 4096
 
+// Conflict backoff (step 0). In units of W, the serial cost of one window:
+// a rollback pays a snapshot, a wasted lookahead and a restore on top of
+// the serial replay — R ≈ 0.65 W extra on perfbench's mc8-mixed-epoch
+// (2-vCPU Xeon: 2.56 ms per 8-core job with 5 rolled-back epochs, 1.53 ms
+// serial). A clean epoch saves at most one window's arbitration: S ≈ 0.3 W
+// at 8 cores, where the disjoint-window corebench rows run ~1.45x
+// serial, and nothing at 2. Speculating is worth it only when the next
+// epoch merges with probability above R/(R+S) ≈ 2/3, and conflicts come in
+// runs: write-shared traffic that conflicted once tends to conflict again
+// in the next window.
+//
+//   - backoffInitial = 4: a lone conflict on otherwise clean traffic
+//     forfeits at most 4 × 0.3 W, about twice the rollback that triggered
+//     it, while persistent conflicts stop costing a rollback every other
+//     window. On mc8-mixed-epoch an initial skip of 1 ran at 2.06–2.14 ms
+//     per job, 4 at 1.80–1.88 ms, and 16 no better at 1.80–1.85 ms: its
+//     jobs are 5 windows long, so 4 already covers them.
+//   - backoffMax = 64: persistently conflicting traffic pays one rollback
+//     per 65 windows, about 1% of W; traffic that turns conflict-free is
+//     found again within 64 windows.
+//
+// Neither value affects results: serialWindow is the rollback replay path,
+// and results are invariant in where barriers fall.
+const (
+	backoffInitial = 4
+	backoffMax     = 64
+)
+
+// backoffState is step 0's bookkeeping. The zero value speculates.
+type backoffState struct {
+	skip    int // serial windows left in the current stretch
+	stretch int // length of the latest stretch; 0 once an epoch merges
+}
+
+// rolledBack starts the next stretch: backoffInitial windows after a clean
+// merge, twice the previous stretch (capped at backoffMax) after a rollback.
+func (b *backoffState) rolledBack() {
+	b.stretch = min(max(2*b.stretch, backoffInitial), backoffMax)
+	b.skip = b.stretch
+}
+
 // EpochStats counts what the epoch-parallel stepper did. All zeros after a
 // purely serial run; exposed so experiments can report the conflict rate
 // and the parallel fraction.
@@ -92,7 +141,20 @@ type EpochStats struct {
 	RecordsMerged     int64 // buffered records applied at barriers
 	DirectAccesses    int64 // accesses executed serially inside a merge (drained log)
 	LookaheadAccesses int64 // accesses executed inside parallel lookaheads (pre-rollback)
+	SerialWindows     int64 // K-cycle windows run serially, without speculation, after a rollback
+	// Fallback is why the latest RunParallelContext call handed the run to
+	// the serial RunContext (one of the Fallback* constants); empty when
+	// epochs ran.
+	Fallback string
 }
+
+// Reasons RunParallelContext falls back to the serial stepper.
+const (
+	FallbackSingleCore       = "single core"
+	FallbackObserver         = "AccessObserver"
+	FallbackInspector        = "inspector"
+	FallbackNotSnapshottable = "non-snapshottable policy"
+)
 
 // EpochStats returns the epoch-parallel stepper's counters.
 func (m *Machine) EpochStats() EpochStats { return m.estats }
@@ -313,12 +375,20 @@ func (m *Machine) RunParallel(epochCycles int64) error {
 // writeback ledger balances), from which a later Run or RunParallel call
 // resumes.
 //
+// The stepper backs off after a rollback: the next windows of epochCycles
+// run serially, without speculation, for a stretch that doubles on each
+// consecutive rollback and resets on the first clean merge (see the design
+// comment's step 0). Skipped windows keep the epoch barrier, so the context
+// is polled and checkpoints are reported at the same granularity either
+// way; EpochStats.SerialWindows counts them.
+//
 // Machines the epoch machinery cannot serve bit-identically fall back to the
 // serial RunContext: a single core (nothing to parallelize), an attached
 // AccessObserver (mid-run controller state a rollback cannot restore), an
 // attached inspector (frames must land at exact access-count strides, which
 // epoch barriers — at epoch-length-dependent positions — cannot hit), or a
-// non-snapshottable injected replacement policy.
+// non-snapshottable injected replacement policy. EpochStats.Fallback names
+// the reason.
 func (m *Machine) RunParallelContext(ctx context.Context, epochCycles int64, checkEvery int, onCheckpoint func(done int64)) error {
 	if epochCycles <= 0 {
 		epochCycles = DefaultEpochCycles
@@ -329,9 +399,11 @@ func (m *Machine) RunParallelContext(ctx context.Context, epochCycles int64, che
 	if m.violation != nil {
 		return m.violation
 	}
-	if len(m.cores) == 1 || m.observer != nil || m.inspectFn != nil || !m.snapshottable() {
+	if reason := m.parallelFallback(); reason != "" {
+		m.estats.Fallback = reason
 		return m.RunContext(ctx, checkEvery, onCheckpoint)
 	}
+	m.estats.Fallback = ""
 
 	logs := make([]*coreLog, len(m.cores))
 	for i := range logs {
@@ -359,37 +431,21 @@ func (m *Machine) RunParallelContext(ctx context.Context, epochCycles int64, che
 		}
 		horizon := minClock + epochCycles
 
-		m.snapshotInto(snap)
-		m.estats.Epochs++
-
-		var wg sync.WaitGroup
-		for i, c := range m.cores {
-			lg := logs[i]
-			lg.reset()
-			if c.pos >= len(c.trace) || c.cycles >= horizon {
-				continue
-			}
-			lg.active = true
-			wg.Add(1)
-			go func(c *core, lg *coreLog) {
-				defer wg.Done()
-				m.lookahead(c, lg, horizon)
-			}(c, lg)
-		}
-		wg.Wait()
-		for _, lg := range logs {
-			m.estats.LookaheadAccesses += lg.accesses
-		}
-
-		conflict, err := m.mergeEpoch(logs)
-		if err != nil {
-			return err
-		}
-		if conflict {
-			m.estats.ConflictEpochs++
-			m.restoreFrom(snap)
+		if m.backoff.skip > 0 {
+			m.backoff.skip--
+			m.estats.SerialWindows++
 			if err := m.serialWindow(horizon); err != nil {
 				return err
+			}
+		} else {
+			conflict, err := m.speculate(logs, snap, horizon)
+			if err != nil {
+				return err
+			}
+			if conflict {
+				m.backoff.rolledBack()
+			} else {
+				m.backoff.stretch = 0
 			}
 		}
 		if m.check != nil {
@@ -411,6 +467,57 @@ func (m *Machine) RunParallelContext(ctx context.Context, epochCycles int64, che
 		onCheckpoint(m.accessesDone())
 	}
 	return ctx.Err()
+}
+
+// parallelFallback names the reason the epoch machinery cannot serve this
+// machine bit-identically, or returns "" when it can.
+func (m *Machine) parallelFallback() string {
+	switch {
+	case len(m.cores) == 1:
+		return FallbackSingleCore
+	case m.observer != nil:
+		return FallbackObserver
+	case m.inspectFn != nil:
+		return FallbackInspector
+	case !m.snapshottable():
+		return FallbackNotSnapshottable
+	}
+	return ""
+}
+
+// speculate runs one epoch up to horizon: snapshot, parallel lookahead and
+// merge, or — on a conflict — restore and serial replay of the window. It
+// reports whether the epoch rolled back.
+func (m *Machine) speculate(logs []*coreLog, snap *machineSnapshot, horizon int64) (bool, error) {
+	m.snapshotInto(snap)
+	m.estats.Epochs++
+
+	var wg sync.WaitGroup
+	for i, c := range m.cores {
+		lg := logs[i]
+		lg.reset()
+		if c.pos >= len(c.trace) || c.cycles >= horizon {
+			continue
+		}
+		lg.active = true
+		wg.Add(1)
+		go func(c *core, lg *coreLog) {
+			defer wg.Done()
+			m.lookahead(c, lg, horizon)
+		}(c, lg)
+	}
+	wg.Wait()
+	for _, lg := range logs {
+		m.estats.LookaheadAccesses += lg.accesses
+	}
+
+	conflict, err := m.mergeEpoch(logs)
+	if err != nil || !conflict {
+		return false, err
+	}
+	m.estats.ConflictEpochs++
+	m.restoreFrom(snap)
+	return true, m.serialWindow(horizon)
 }
 
 func (m *Machine) accessesDone() int64 {

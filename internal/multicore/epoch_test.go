@@ -175,6 +175,12 @@ func TestEpochStatsExerciseBothPaths(t *testing.T) {
 		t.Fatalf("disjoint windows produced conflicts: %+v", es)
 	}
 
+	// Backoff reacts only to rollbacks: conflict-free traffic keeps
+	// speculating in every window.
+	if es.SerialWindows != 0 {
+		t.Fatalf("disjoint run backed off without a conflict: %+v", es)
+	}
+
 	m = MustNew(sharedConfig(3, 3, false))
 	if err := m.RunParallel(256); err != nil {
 		t.Fatal(err)
@@ -184,36 +190,109 @@ func TestEpochStatsExerciseBothPaths(t *testing.T) {
 	}
 }
 
-// Machines the epoch machinery cannot serve fall back to the serial stepper:
-// a single core, or an attached observer. The fallback must still produce
-// correct results and must not count epochs.
-func TestRunParallelFallsBackToSerial(t *testing.T) {
-	cfg := sharedConfig(5, 1, true)
-	serial, parallel := MustNew(cfg), MustNew(cfg)
-	if err := serial.Run(); err != nil {
+// runWithoutBackoff runs m on the epoch stepper with backoff disabled —
+// every window speculates, as the stepper did before backoff existed — by
+// clearing the backoff state at every barrier.
+func runWithoutBackoff(t *testing.T, m *Machine, k int64) EpochStats {
+	t.Helper()
+	if err := m.RunParallelContext(context.Background(), k, 1, func(int64) { m.backoff = backoffState{} }); err != nil {
 		t.Fatal(err)
 	}
-	if err := parallel.RunParallel(64); err != nil {
-		t.Fatal(err)
-	}
-	requireMachinesEqual(t, "single-core", serial, parallel)
-	if es := parallel.EpochStats(); es.Epochs != 0 {
-		t.Fatalf("single-core fallback ran epochs: %+v", es)
-	}
+	return m.EpochStats()
+}
 
-	cfg = sharedConfig(5, 2, true)
-	serial, parallel = MustNew(cfg), MustNew(cfg)
-	parallel.SetL2Observer(countingObserver{n: new(int64)})
-	if err := serial.Run(); err != nil {
-		t.Fatal(err)
+// On a machine where every speculative epoch conflicts, backoff must keep
+// the result bit-identical while replacing most rollbacks with plain serial
+// windows, in stretches of 4, 8, 16, ... windows after consecutive
+// rollbacks.
+func TestEpochBackoffOnContendedMachine(t *testing.T) {
+	const k = 256
+	for _, checks := range []bool{false, true} {
+		cfg := sharedConfig(7, 4, checks)
+		serial, parallel, eager := MustNew(cfg), MustNew(cfg), MustNew(cfg)
+		if err := serial.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := parallel.RunParallel(k); err != nil {
+			t.Fatal(err)
+		}
+		before := runWithoutBackoff(t, eager, k)
+		requireMachinesEqual(t, "backoff", serial, parallel)
+		requireMachinesEqual(t, "no backoff", serial, eager)
+		if before.ConflictEpochs != before.Epochs {
+			t.Fatalf("checks=%v: machine not contended, %d of %d epochs merged without backoff",
+				checks, before.Epochs-before.ConflictEpochs, before.Epochs)
+		}
+		es := parallel.EpochStats()
+		if es.SerialWindows == 0 || es.ConflictEpochs >= before.ConflictEpochs {
+			t.Fatalf("checks=%v: backoff did not cut rollbacks: %+v, %d without backoff",
+				checks, es, before.ConflictEpochs)
+		}
+		// Every window either speculates or runs serially; each rollback
+		// starts a stretch twice the previous one.
+		windows := before.Epochs
+		if got := es.Epochs + es.SerialWindows; got != windows {
+			t.Fatalf("checks=%v: %d epochs + serial windows, want %d windows", checks, got, windows)
+		}
+		want := int64(0)
+		for w, stretch := int64(0), int64(backoffInitial); w < windows; stretch = min(2*stretch, backoffMax) {
+			want++
+			w += 1 + stretch
+		}
+		if es.ConflictEpochs != want || want < 3 {
+			t.Fatalf("checks=%v: %d rollbacks over %d windows, backoff schedule gives %d",
+				checks, es.ConflictEpochs, windows, want)
+		}
 	}
-	if err := parallel.RunParallel(64); err != nil {
-		t.Fatal(err)
+}
+
+// Machines the epoch machinery cannot serve fall back to the serial stepper
+// and say why in EpochStats.Fallback: a single core, an attached observer or
+// inspector, or an injected (non-snapshottable) replacement policy. The
+// fallback must still produce correct results and must not count epochs.
+func TestRunParallelFallsBackToSerial(t *testing.T) {
+	customL2 := func(m *Machine) {
+		cfg := m.l2.Config()
+		l2, err := cache.NewWithPolicy(cfg, replacement.NewLRU(cfg.NumSets, cfg.NumWays))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.l2 = l2
 	}
-	if es := parallel.EpochStats(); es.Epochs != 0 {
-		t.Fatalf("observer fallback ran epochs: %+v", es)
+	cases := []struct {
+		name  string
+		cores int
+		setup func(m *Machine)
+		want  string
+	}{
+		{"single-core", 1, nil, FallbackSingleCore},
+		{"observer", 2, func(m *Machine) { m.SetL2Observer(countingObserver{n: new(int64)}) }, FallbackObserver},
+		{"inspector", 2, func(m *Machine) { m.SetInspector(64, func(int64) {}) }, FallbackInspector},
+		{"custom-policy", 2, customL2, FallbackNotSnapshottable},
+		{"epochs", 2, nil, ""},
 	}
-	requireMachinesEqual(t, "observer", serial, parallel)
+	for _, tc := range cases {
+		cfg := sharedConfig(5, tc.cores, true)
+		serial, parallel := MustNew(cfg), MustNew(cfg)
+		if tc.setup != nil {
+			tc.setup(serial)
+			tc.setup(parallel)
+		}
+		if err := serial.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := parallel.RunParallel(64); err != nil {
+			t.Fatal(err)
+		}
+		requireMachinesEqual(t, tc.name, serial, parallel)
+		es := parallel.EpochStats()
+		if es.Fallback != tc.want {
+			t.Fatalf("%s: fallback %q, want %q", tc.name, es.Fallback, tc.want)
+		}
+		if ran := es.Epochs > 0; ran != (tc.want == "") {
+			t.Fatalf("%s: fallback %q but epochs ran=%v: %+v", tc.name, es.Fallback, ran, es)
+		}
+	}
 }
 
 type countingObserver struct{ n *int64 }
@@ -225,13 +304,16 @@ func (o countingObserver) ObserveAccess(id tint.Tint, addr memory.Addr, miss boo
 // which are clean serial-equivalent states, so after a cancel the machine
 // must (a) pass the full invariant walk with a balanced writeback ledger and
 // (b) resume — even under a different epoch length — to a final state
-// bit-identical to a serial run. Run under -race this also hammers the
-// parallel lookahead for data races.
+// bit-identical to a serial run. The contended traffic rolls back often, so
+// some cancellations land inside a backoff stretch, between two serial
+// windows; the resumed run finishes that stretch. Run under -race this also
+// hammers the parallel lookahead for data races.
 func TestEpochCancellationStress(t *testing.T) {
 	rounds := 40
 	if testing.Short() {
 		rounds = 8
 	}
+	inStretch := 0
 	for seed := int64(1); seed <= int64(rounds); seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cores := 2 + rng.Intn(3)
@@ -257,6 +339,9 @@ func TestEpochCancellationStress(t *testing.T) {
 		if err == nil && !parallel.Done() {
 			t.Fatalf("seed %d: run stopped without error or completion", seed)
 		}
+		if err != nil && parallel.backoff.skip > 0 {
+			inStretch++
+		}
 		// The interrupted machine must be consistent: every invariant holds
 		// and the ledger balances mid-run.
 		if err := parallel.CheckInvariants(); err != nil {
@@ -267,6 +352,9 @@ func TestEpochCancellationStress(t *testing.T) {
 			t.Fatalf("seed %d: resume: %v", seed, err)
 		}
 		requireMachinesEqual(t, "stress", serial, parallel)
+	}
+	if inStretch == 0 {
+		t.Fatalf("no seed of %d cancelled inside a backoff stretch", rounds)
 	}
 }
 

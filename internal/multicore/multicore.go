@@ -202,8 +202,11 @@ type Machine struct {
 	remapPos   int
 	l2Demands  int64
 
-	// Epoch-parallel stepper state (see epoch.go).
-	estats EpochStats
+	// Epoch-parallel stepper state (see epoch.go). The backoff stretch
+	// lives on the machine so a run resumed after cancellation finishes the
+	// stretch it was in rather than speculating into a known conflict.
+	estats  EpochStats
+	backoff backoffState
 
 	// testMergeHook, when non-nil, sees every buffered record just before
 	// the barrier merge applies it. Tests inject coherence-breaking
