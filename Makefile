@@ -33,7 +33,7 @@
 #   conformance / cover  - differential oracle matrix + coverage gate
 #   multicore            - MSI -race sweep, stepper determinism (replicated
 #                          disjoint traces and contended idct shards),
-#                          BENCH_PR5
+#                          streamed vs materialized replay, BENCH_PR5
 #   perfbench-test       - perfbench's own tests: a short run of every
 #                          workload and a corrupted result that must fail
 #   watch                - live-inspection smoke: colserved streams SSE
@@ -210,6 +210,8 @@ conformance:
 # replicate one trace into disjoint per-core windows, so their epochs
 # merge; the idct shard leg deals one trace round-robin across the cores,
 # so the cores share lines and the epoch stepper rolls back and backs off.
+# The stream leg replays one binary trace materialized and streamed
+# through memsys's one trace loop; everything but the trace: line must match.
 multicore:
 	$(GO) test -race ./internal/multicore
 	$(GO) build -o /tmp/paperbench ./cmd/paperbench
@@ -227,6 +229,10 @@ multicore:
 	/tmp/colsim -cores 4 /tmp/mc-idct.0.txt /tmp/mc-idct.1.txt /tmp/mc-idct.2.txt /tmp/mc-idct.3.txt > /tmp/mc-shard-serial.txt
 	/tmp/colsim -cores 4 -parallel -epoch 64 /tmp/mc-idct.0.txt /tmp/mc-idct.1.txt /tmp/mc-idct.2.txt /tmp/mc-idct.3.txt > /tmp/mc-shard-k64.txt
 	cmp /tmp/mc-shard-serial.txt /tmp/mc-shard-k64.txt
+	/tmp/tracegen -workload gzip -binary -o /tmp/gz.bin
+	/tmp/colsim -binary /tmp/gz.bin > /tmp/gz-run.txt
+	/tmp/colsim -binary -stream /tmp/gz.bin > /tmp/gz-stream.txt
+	diff -I '^trace:' /tmp/gz-run.txt /tmp/gz-stream.txt
 	/tmp/paperbench -quick -mcscale BENCH_PR5.json
 	test -s BENCH_PR5.json
 

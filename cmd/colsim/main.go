@@ -258,11 +258,11 @@ func main() {
 			enc := json.NewEncoder(out)
 			var frame inspect.Frame
 			var encErr error
-			total := len(tr)
+			total := int64(len(tr))
 			cycles, err = sys.RunContext(context.Background(), tr, memsys.RunOptions{
-				InspectEvery: *inspEvery,
-				OnInspect: func(done int, st memsys.Stats) {
-					red.Reduce(&frame, int64(done), done == total)
+				InspectEvery: int64(*inspEvery),
+				OnInspect: func(done int64, st memsys.Stats) {
+					red.Reduce(&frame, done, done == total)
 					if err := enc.Encode(&frame); err != nil && encErr == nil {
 						encErr = err
 					}

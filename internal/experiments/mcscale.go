@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -77,55 +76,68 @@ func RunMulticoreScalingParallel(coreCounts []int, accessesPerCore int, epochCyc
 func runScaling(coreCounts []int, accessesPerCore int, parallel bool, epochCycles int64) ([]ScalingResult, error) {
 	var out []ScalingResult
 	for _, n := range coreCounts {
-		if n < 1 {
-			return nil, fmt.Errorf("experiments: scaling needs ≥1 core, got %d", n)
-		}
-		traces := make([]memtrace.Trace, n)
-		for i := range traces {
-			traces[i] = scalingTrace(i, accessesPerCore)
-		}
-		m, err := multicore.New(multicore.Config{
-			Geometry:    memory.MustGeometry(32, 4096),
-			L1:          cache.Config{LineBytes: 32, NumSets: 16, NumWays: 2},
-			L2:          cache.Config{LineBytes: 32, NumSets: 64, NumWays: 8},
-			Timing:      memsys.DefaultTiming,
-			L2HitCycles: 6,
-			Traces:      traces,
-		})
+		m, err := scalingMachine(n, accessesPerCore)
 		if err != nil {
 			return nil, err
 		}
-		// Trace construction above allocates tens of megabytes; collect now so
-		// a background mark phase does not steal CPU inside the timed window.
-		runtime.GC()
-		start := time.Now()
+		run := m.Run
 		if parallel {
-			err = m.RunParallel(epochCycles)
-		} else {
-			err = m.Run()
+			run = func() error { return m.RunParallel(epochCycles) }
 		}
+		r, err := timeScaling(m, accessesPerCore, run)
 		if err != nil {
 			return nil, err
-		}
-		wall := time.Since(start).Seconds()
-		st := m.Stats()
-		r := ScalingResult{
-			Cores:       n,
-			Accesses:    int64(n) * int64(accessesPerCore),
-			SimCycles:   st.Cycles,
-			WallSeconds: wall,
 		}
 		if parallel {
 			r.Parallel = true
 			r.EpochCycles = epochCycles
 			r.SerialWindows = m.EpochStats().SerialWindows
 		}
-		if wall > 0 {
-			r.CyclesPerSec = float64(r.SimCycles) / wall
-		}
 		out = append(out, r)
 	}
 	return out, nil
+}
+
+// scalingMachine builds the n-core benchmark machine every scaling row
+// runs: core i replays scalingTrace(i, accessesPerCore).
+func scalingMachine(n, accessesPerCore int) (*multicore.Machine, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("experiments: scaling needs ≥1 core, got %d", n)
+	}
+	traces := make([]memtrace.Trace, n)
+	for i := range traces {
+		traces[i] = scalingTrace(i, accessesPerCore)
+	}
+	return multicore.New(multicore.Config{
+		Geometry:    memory.MustGeometry(32, 4096),
+		L1:          cache.Config{LineBytes: 32, NumSets: 16, NumWays: 2},
+		L2:          cache.Config{LineBytes: 32, NumSets: 64, NumWays: 8},
+		Timing:      memsys.DefaultTiming,
+		L2HitCycles: 6,
+		Traces:      traces,
+	})
+}
+
+// timeScaling times run on m and fills in the row's common fields.
+func timeScaling(m *multicore.Machine, accessesPerCore int, run func() error) (ScalingResult, error) {
+	// Trace construction allocates tens of megabytes; collect now so a
+	// background mark phase does not steal CPU inside the timed window.
+	runtime.GC()
+	start := time.Now()
+	if err := run(); err != nil {
+		return ScalingResult{}, err
+	}
+	wall := time.Since(start).Seconds()
+	r := ScalingResult{
+		Cores:       m.NumCores(),
+		Accesses:    int64(m.NumCores()) * int64(accessesPerCore),
+		SimCycles:   m.Stats().Cycles,
+		WallSeconds: wall,
+	}
+	if wall > 0 {
+		r.CyclesPerSec = float64(r.SimCycles) / wall
+	}
+	return r, nil
 }
 
 // DefaultInspectStride is the frame-capture stride the inspect-on
@@ -141,28 +153,16 @@ const DefaultInspectStride = 65536
 // frame capture attached at the given stride (0 = DefaultInspectStride).
 // The capture mirrors the service's inline cost — occupancy reduction
 // into a reused frame plus JSON encoding — so the row gates the real
-// overhead a colserved -inspect-every deployment pays.
+// overhead a colserved -inspect-every deployment pays. The serial rows
+// run the same loop (Run is RunContext without a deadline), so the
+// inspect/serial ratio isolates the capture cost.
 func RunMulticoreScalingInspect(coreCounts []int, accessesPerCore int, every int64) ([]ScalingResult, error) {
 	if every <= 0 {
 		every = DefaultInspectStride
 	}
 	var out []ScalingResult
 	for _, n := range coreCounts {
-		if n < 1 {
-			return nil, fmt.Errorf("experiments: scaling needs ≥1 core, got %d", n)
-		}
-		traces := make([]memtrace.Trace, n)
-		for i := range traces {
-			traces[i] = scalingTrace(i, accessesPerCore)
-		}
-		m, err := multicore.New(multicore.Config{
-			Geometry:    memory.MustGeometry(32, 4096),
-			L1:          cache.Config{LineBytes: 32, NumSets: 16, NumWays: 2},
-			L2:          cache.Config{LineBytes: 32, NumSets: 64, NumWays: 8},
-			Timing:      memsys.DefaultTiming,
-			L2HitCycles: 6,
-			Traces:      traces,
-		})
+		m, err := scalingMachine(n, accessesPerCore)
 		if err != nil {
 			return nil, err
 		}
@@ -175,26 +175,14 @@ func RunMulticoreScalingInspect(coreCounts []int, accessesPerCore int, every int
 				encoded += int64(len(b))
 			}
 		})
-		runtime.GC()
-		start := time.Now()
-		if err := m.RunContext(context.Background(), 0, nil); err != nil {
+		r, err := timeScaling(m, accessesPerCore, m.Run)
+		if err != nil {
 			return nil, err
 		}
-		wall := time.Since(start).Seconds()
 		if encoded == 0 {
 			return nil, fmt.Errorf("experiments: inspect row captured no frames")
 		}
-		st := m.Stats()
-		r := ScalingResult{
-			Cores:        n,
-			InspectEvery: every,
-			Accesses:     int64(n) * int64(accessesPerCore),
-			SimCycles:    st.Cycles,
-			WallSeconds:  wall,
-		}
-		if wall > 0 {
-			r.CyclesPerSec = float64(r.SimCycles) / wall
-		}
+		r.InspectEvery = every
 		out = append(out, r)
 	}
 	return out, nil

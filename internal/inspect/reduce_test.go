@@ -46,9 +46,9 @@ func runFrames(t *testing.T, every int) [][]byte {
 	var frames [][]byte
 	var f Frame
 	_, err := sys.RunContext(context.Background(), trace, memsys.RunOptions{
-		InspectEvery: every,
-		OnInspect: func(done int, st memsys.Stats) {
-			red.Reduce(&f, int64(done), done == len(trace))
+		InspectEvery: int64(every),
+		OnInspect: func(done int64, st memsys.Stats) {
+			red.Reduce(&f, done, done == int64(len(trace)))
 			b, err := json.Marshal(&f)
 			if err != nil {
 				t.Errorf("marshal: %v", err)

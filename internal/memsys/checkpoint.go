@@ -1,16 +1,9 @@
 package memsys
 
-import (
-	"context"
-	"fmt"
-
-	"colcache/internal/memtrace"
-)
-
 // Checkpoint is the serializable progress marker of a RunContext run: how
 // many accesses have executed and the cycles they consumed. Because the
 // machine is deterministic in (config, trace), this pair is a complete
-// resume token — RunContextFrom rebuilds the exact machine state by
+// resume token — RunOptions.Resume rebuilds the exact machine state by
 // fast-forwarding the trace prefix, so nothing else needs to be
 // serialized. colserved journals these to its write-ahead log at
 // checkpoint cadence and resumes in-flight jobs from the last one after a
@@ -18,68 +11,4 @@ import (
 type Checkpoint struct {
 	Done   int64 `json:"done"`   // accesses executed
 	Cycles int64 `json:"cycles"` // cycles consumed by them
-}
-
-// RunContextFrom is RunContext starting after a checkpoint: the first
-// cp.Done accesses are replayed without context polls or checkpoint
-// callbacks — the fast-forward that reconstructs machine state (counters,
-// cache contents, recency, TLB) exactly as the interrupted run built it —
-// then execution continues with the usual cooperative cadence.
-// OnCheckpoint's done argument counts absolute trace position, so a
-// resumed job's progress continues where the old one stopped. The
-// returned cycle count covers the whole trace, prefix included, and is
-// identical to what an uninterrupted RunContext would have returned; the
-// prefix cycles are cross-checked against cp.Cycles so a checkpoint that
-// does not belong to this (config, trace) pair fails loudly instead of
-// silently producing a wrong result.
-func (s *System) RunContextFrom(ctx context.Context, t memtrace.Trace, cp Checkpoint, opts RunOptions) (int64, error) {
-	if cp.Done <= 0 {
-		return s.RunContext(ctx, t, opts)
-	}
-	if cp.Done > int64(len(t)) {
-		return 0, fmt.Errorf("memsys: checkpoint at %d past trace end %d", cp.Done, len(t))
-	}
-	every := opts.CheckEvery
-	if every <= 0 {
-		every = DefaultCheckEvery
-	}
-	var total int64
-	for _, a := range t[:cp.Done] {
-		total += s.Access(a)
-	}
-	if total != cp.Cycles {
-		return total, fmt.Errorf("memsys: fast-forward to %d produced %d cycles, checkpoint recorded %d (checkpoint from a different spec or trace?)",
-			cp.Done, total, cp.Cycles)
-	}
-	// Inspection resumes on the same absolute stride grid the interrupted
-	// run used, so a resumed job's frame sequence continues where the old
-	// one stopped instead of phase-shifting by the checkpoint position.
-	inspect := 0
-	nextInspect := 0
-	if opts.OnInspect != nil && opts.InspectEvery > 0 {
-		inspect = opts.InspectEvery
-		nextInspect = (int(cp.Done)/inspect + 1) * inspect
-	}
-	for i := int(cp.Done); i < len(t); i++ {
-		total += s.Access(t[i])
-		if i+1 == nextInspect {
-			opts.OnInspect(i+1, s.Stats())
-			nextInspect += inspect
-		}
-		if (i+1)%every == 0 {
-			if opts.OnCheckpoint != nil {
-				opts.OnCheckpoint(i+1, s.Stats())
-			}
-			if err := ctx.Err(); err != nil {
-				return total, err
-			}
-		}
-	}
-	if inspect > 0 && nextInspect != len(t)+inspect {
-		opts.OnInspect(len(t), s.Stats())
-	}
-	if opts.OnCheckpoint != nil {
-		opts.OnCheckpoint(len(t), s.Stats())
-	}
-	return total, ctx.Err()
 }

@@ -30,7 +30,7 @@ func mixedTrace(n int) memtrace.Trace {
 
 // A run resumed from any checkpoint must produce exactly the cycles and
 // stats of an uninterrupted run — the guarantee crash recovery rides on.
-func TestRunContextFromMatchesUninterrupted(t *testing.T) {
+func TestResumeMatchesUninterrupted(t *testing.T) {
 	tr := mixedTrace(20000)
 	ref := testSystem(t)
 	wantCycles, err := ref.RunContext(context.Background(), tr, RunOptions{})
@@ -49,7 +49,7 @@ func TestRunContextFromMatchesUninterrupted(t *testing.T) {
 		cp.Done = cutoff
 
 		sys := testSystem(t)
-		got, err := sys.RunContextFrom(context.Background(), tr, cp, RunOptions{CheckEvery: 1024})
+		got, err := sys.RunContext(context.Background(), tr, RunOptions{CheckEvery: 1024, Resume: cp})
 		if err != nil {
 			t.Fatalf("cutoff %d: %v", cutoff, err)
 		}
@@ -63,7 +63,7 @@ func TestRunContextFromMatchesUninterrupted(t *testing.T) {
 }
 
 // Progress callbacks after a resume must report absolute trace positions.
-func TestRunContextFromAbsoluteProgress(t *testing.T) {
+func TestResumeAbsoluteProgress(t *testing.T) {
 	tr := mixedTrace(10000)
 	pre := testSystem(t)
 	var cp Checkpoint
@@ -73,10 +73,11 @@ func TestRunContextFromAbsoluteProgress(t *testing.T) {
 	cp.Done = 6000
 
 	sys := testSystem(t)
-	var dones []int
-	if _, err := sys.RunContextFrom(context.Background(), tr, cp, RunOptions{
+	var dones []int64
+	if _, err := sys.RunContext(context.Background(), tr, RunOptions{
 		CheckEvery:   2048,
-		OnCheckpoint: func(done int, _ Stats) { dones = append(dones, done) },
+		OnCheckpoint: func(done int64, _ Stats) { dones = append(dones, done) },
+		Resume:       cp,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -88,21 +89,21 @@ func TestRunContextFromAbsoluteProgress(t *testing.T) {
 			t.Fatalf("checkpoint at %d inside the fast-forwarded prefix", d)
 		}
 	}
-	if dones[len(dones)-1] != len(tr) {
+	if dones[len(dones)-1] != int64(len(tr)) {
 		t.Fatalf("final checkpoint at %d, want %d", dones[len(dones)-1], len(tr))
 	}
 }
 
 // A checkpoint that does not belong to this trace must fail the
 // cross-check, not silently resume into a wrong result.
-func TestRunContextFromRejectsForeignCheckpoint(t *testing.T) {
+func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 	tr := mixedTrace(5000)
 	sys := testSystem(t)
-	if _, err := sys.RunContextFrom(context.Background(), tr, Checkpoint{Done: 1000, Cycles: 123456789}, RunOptions{}); err == nil {
+	if _, err := sys.RunContext(context.Background(), tr, RunOptions{Resume: Checkpoint{Done: 1000, Cycles: 123456789}}); err == nil {
 		t.Fatal("foreign checkpoint accepted")
 	}
 	sys2 := testSystem(t)
-	if _, err := sys2.RunContextFrom(context.Background(), tr, Checkpoint{Done: 99999, Cycles: 1}, RunOptions{}); err == nil {
+	if _, err := sys2.RunContext(context.Background(), tr, RunOptions{Resume: Checkpoint{Done: 99999, Cycles: 1}}); err == nil {
 		t.Fatal("checkpoint past trace end accepted")
 	}
 }

@@ -11,6 +11,7 @@ package memsys
 import (
 	"context"
 	"fmt"
+	"io"
 
 	"colcache/internal/cache"
 	"colcache/internal/memory"
@@ -307,26 +308,28 @@ func (s *System) access(a memtrace.Access, override replacement.Mask) int64 {
 
 // Run executes an entire trace and returns the cycles consumed.
 func (s *System) Run(t memtrace.Trace) int64 {
-	var total int64
-	for _, a := range t {
-		total += s.Access(a)
-	}
-	return total
+	// Without cancellation, a cap or a resume point RunContext cannot fail.
+	cycles, _ := s.RunContext(context.Background(), t, RunOptions{})
+	return cycles
 }
 
-// RunOptions parameterize RunContext.
+// RunOptions parameterize RunContext and Replay. Every position they
+// mention — the done arguments of the callbacks, the checkpoint and
+// inspection grids, Resume.Done — counts accesses from the start of the
+// trace, so a resumed run reports the positions an uninterrupted one would.
 type RunOptions struct {
 	// CheckEvery is the cooperative-cancellation stride: the context is
 	// polled and OnCheckpoint fired every CheckEvery accesses. Zero or
 	// negative means DefaultCheckEvery. Small strides bound cancellation
-	// latency; large ones keep the hot loop branch-free longer.
+	// latency; large ones keep the hot loop branch-free longer. Replay
+	// decodes into a buffer of this many accesses.
 	CheckEvery int
 	// OnCheckpoint, when non-nil, receives the number of accesses executed
 	// so far and a detached Stats snapshot at every checkpoint and once
 	// more after the final access. It runs on the simulation goroutine;
 	// publish the snapshot under your own lock if another goroutine reads
 	// it.
-	OnCheckpoint func(done int, st Stats)
+	OnCheckpoint func(done int64, st Stats)
 	// InspectEvery, with OnInspect non-nil, fires the inspection callback
 	// at exact trace positions — every InspectEvery accesses, independent
 	// of the CheckEvery stride, plus once after the final access when the
@@ -335,11 +338,23 @@ type RunOptions struct {
 	// function of (config, trace, InspectEvery), which is what lets the
 	// inspect conformance check demand bit-identical frames from every
 	// execution strategy. Zero disables inspection.
-	InspectEvery int
+	InspectEvery int64
 	// OnInspect runs on the simulation goroutine while the machine is
 	// quiescent, so it may read cache contents, tint table and page table
 	// directly (the inspect reducer does).
-	OnInspect func(done int, st Stats)
+	OnInspect func(done int64, st Stats)
+	// MaxAccesses, when positive, caps the number of accesses executed; a
+	// longer trace fails with an error wrapping memtrace.ErrTraceTooLarge.
+	// The cap is checked as each chunk of CheckEvery accesses arrives, like
+	// memtrace.ReadBinaryLimit, so an adversarial stream never occupies
+	// more than one chunk.
+	MaxAccesses int64
+	// Resume, when Resume.Done is positive, continues an interrupted run
+	// from its checkpoint (see Checkpoint): the first Resume.Done accesses
+	// are executed without context polls or callbacks, their cycles are
+	// cross-checked against Resume.Cycles, and the run then continues with
+	// the usual cadence. The returned cycles cover the whole trace.
+	Resume Checkpoint
 }
 
 // DefaultCheckEvery is the RunContext cancellation stride when
@@ -351,42 +366,98 @@ const DefaultCheckEvery = 4096
 // layer can cancel a simulation mid-trace (request timeout, client gone,
 // shutdown) and scrape live statistics without touching the simulation's
 // own state. Returns the cycles consumed so far and ctx.Err() if canceled.
+// With opts.Resume set it picks up an interrupted run; see RunOptions.
 func (s *System) RunContext(ctx context.Context, t memtrace.Trace, opts RunOptions) (int64, error) {
-	every := opts.CheckEvery
+	_, cycles, err := s.run(ctx, func(n int) ([]memtrace.Access, error) {
+		if len(t) == 0 {
+			return nil, io.EOF
+		}
+		n = min(n, len(t))
+		chunk := t[:n]
+		t = t[n:]
+		return chunk, nil
+	}, opts)
+	return cycles, err
+}
+
+// run is the one trace loop behind Run, RunContext and Replay. next yields
+// the trace in chunks of at most n accesses: a short chunk only at the end
+// of the trace, (nil, io.EOF) after it, and any other error together with
+// the good prefix of the chunk it cut short. Chunks end on the checkpoint
+// and inspection grids, so runBatch sees no bookkeeping at all.
+func (s *System) run(ctx context.Context, next func(n int) ([]memtrace.Access, error), opts RunOptions) (done, cycles int64, err error) {
+	every := int64(opts.CheckEvery)
 	if every <= 0 {
 		every = DefaultCheckEvery
 	}
-	inspect := 0
+	var inspect int64
 	if opts.OnInspect != nil && opts.InspectEvery > 0 {
 		inspect = opts.InspectEvery
 	}
-	nextInspect := inspect
-	var total int64
-	for i, a := range t {
-		total += s.Access(a)
-		if i+1 == nextInspect {
-			opts.OnInspect(i+1, s.Stats())
-			nextInspect += inspect
+	resume := opts.Resume.Done
+	for {
+		stop := (done/every + 1) * every
+		if inspect > 0 {
+			stop = min(stop, (done/inspect+1)*inspect)
 		}
-		if (i+1)%every == 0 {
-			if err := ctx.Err(); err != nil {
-				if opts.OnCheckpoint != nil {
-					opts.OnCheckpoint(i+1, s.Stats())
-				}
-				return total, err
+		if done < resume {
+			stop = min(stop, resume)
+		}
+		chunk, readErr := next(int(stop - done))
+		if opts.MaxAccesses > 0 && done+int64(len(chunk)) > opts.MaxAccesses {
+			return done, cycles, fmt.Errorf("%w (limit %d)", memtrace.ErrTraceTooLarge, opts.MaxAccesses)
+		}
+		cycles += s.runBatch(chunk)
+		done += int64(len(chunk))
+		if readErr == io.EOF {
+			break
+		}
+		if readErr != nil {
+			return done, cycles, readErr
+		}
+		if done <= resume {
+			if done == resume && cycles != opts.Resume.Cycles {
+				return done, cycles, fmt.Errorf("memsys: fast-forward to %d produced %d cycles, checkpoint recorded %d (checkpoint from a different spec or trace?)",
+					resume, cycles, opts.Resume.Cycles)
 			}
+			continue
+		}
+		if inspect > 0 && done%inspect == 0 {
+			opts.OnInspect(done, s.Stats())
+		}
+		if done%every == 0 {
 			if opts.OnCheckpoint != nil {
-				opts.OnCheckpoint(i+1, s.Stats())
+				opts.OnCheckpoint(done, s.Stats())
+			}
+			if err := ctx.Err(); err != nil {
+				return done, cycles, err
 			}
 		}
 	}
-	if inspect > 0 && nextInspect != len(t)+inspect {
-		opts.OnInspect(len(t), s.Stats())
+	if done < resume {
+		return done, cycles, fmt.Errorf("memsys: checkpoint at %d past trace end %d", resume, done)
+	}
+	if inspect > 0 && done%inspect != 0 {
+		opts.OnInspect(done, s.Stats())
 	}
 	if opts.OnCheckpoint != nil {
-		opts.OnCheckpoint(len(t), s.Stats())
+		opts.OnCheckpoint(done, s.Stats())
 	}
-	return total, ctx.Err()
+	return done, cycles, ctx.Err()
+}
+
+// runBatch executes one chunk and returns the cycles it consumed. It must
+// stay a separate, non-inlined function: inlined into run, the values of
+// run's stride bookkeeping stay live across the s.access call and are
+// reloaded from the stack on every access.
+//
+//go:noinline
+func (s *System) runBatch(chunk []memtrace.Access) int64 {
+	var total int64
+	for _, a := range chunk {
+		total += s.access(a, 0)
+	}
+	return total
 }
 
 // MapRegion allocates a tint named after the region, re-tints the region's

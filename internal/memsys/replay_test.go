@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"colcache/internal/cache"
@@ -57,7 +58,7 @@ func TestReplayMatchesRun(t *testing.T) {
 
 	sys := replaySystem(t)
 	done, cycles, err := sys.Replay(context.Background(), memtrace.NewDecoder(bytes.NewReader(data)),
-		ReplayOptions{BatchSize: 512})
+		ReplayOptions{CheckEvery: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,13 +73,13 @@ func TestReplayMatchesRun(t *testing.T) {
 	}
 }
 
-// A short final chunk (trace length not a multiple of the batch size) must
-// not drop or duplicate records.
+// A short final chunk (trace length not a multiple of the checkpoint
+// stride) must not drop or duplicate records.
 func TestReplayShortFinalChunk(t *testing.T) {
 	tr := replayTrace(1000)
 	sys := replaySystem(t)
 	done, _, err := sys.Replay(context.Background(), memtrace.NewDecoder(bytes.NewReader(encode(t, tr))),
-		ReplayOptions{BatchSize: 333})
+		ReplayOptions{CheckEvery: 333})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestReplayMaxAccesses(t *testing.T) {
 	// One under: the stream must be rejected.
 	sys = replaySystem(t)
 	_, _, err := sys.Replay(context.Background(), memtrace.NewDecoder(bytes.NewReader(data)),
-		ReplayOptions{MaxAccesses: 999, BatchSize: 100})
+		ReplayOptions{MaxAccesses: 999, CheckEvery: 100})
 	if !errors.Is(err, memtrace.ErrTraceTooLarge) {
 		t.Fatalf("limit exceeded: got %v, want ErrTraceTooLarge", err)
 	}
@@ -112,7 +113,7 @@ func TestReplayCancellation(t *testing.T) {
 	sys := replaySystem(t)
 	var checkpoints int
 	done, _, err := sys.Replay(ctx, memtrace.NewDecoder(bytes.NewReader(encode(t, tr))),
-		ReplayOptions{BatchSize: 100, OnCheckpoint: func(int64, Stats) {
+		ReplayOptions{CheckEvery: 100, OnCheckpoint: func(int64, Stats) {
 			checkpoints++
 			if checkpoints == 3 {
 				cancel()
@@ -126,17 +127,29 @@ func TestReplayCancellation(t *testing.T) {
 	}
 }
 
+// A decode error is returned after every good record before it has been
+// replayed, whatever the chunk size: done and cycles are those of the
+// 99-record prefix at every stride.
 func TestReplayDecodeError(t *testing.T) {
-	data := encode(t, replayTrace(100))
+	tr := replayTrace(100)
+	data := encode(t, tr)
 	data = data[:len(data)-5] // truncate the final record
-	sys := replaySystem(t)
-	done, _, err := sys.Replay(context.Background(), memtrace.NewDecoder(bytes.NewReader(data)),
-		ReplayOptions{BatchSize: 32})
-	if err == nil {
-		t.Fatal("truncated stream replayed without error")
-	}
-	if done != 96 { // 3 full 32-record chunks; the 4th hits the truncation
-		t.Fatalf("replayed %d accesses before the error, want 96", done)
+	wantCycles := replaySystem(t).Run(tr[:99])
+	for _, every := range []int{1, 32, 100, 4096} {
+		t.Run(fmt.Sprintf("stride=%d", every), func(t *testing.T) {
+			sys := replaySystem(t)
+			done, cycles, err := sys.Replay(context.Background(), memtrace.NewDecoder(bytes.NewReader(data)),
+				ReplayOptions{CheckEvery: every})
+			if err == nil {
+				t.Fatal("truncated stream replayed without error")
+			}
+			if done != 99 {
+				t.Fatalf("replayed %d accesses before the error, want 99", done)
+			}
+			if cycles != wantCycles {
+				t.Fatalf("cycles %d before the error, Run of the prefix gives %d", cycles, wantCycles)
+			}
+		})
 	}
 }
 

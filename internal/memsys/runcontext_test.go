@@ -59,7 +59,7 @@ func TestRunContextCancellation(t *testing.T) {
 	var checkpoints int
 	_, err := sys.RunContext(ctx, tr, RunOptions{
 		CheckEvery: every,
-		OnCheckpoint: func(done int, _ Stats) {
+		OnCheckpoint: func(done int64, _ Stats) {
 			checkpoints++
 			if done >= 4*every {
 				cancel()
@@ -89,10 +89,10 @@ func TestCheckpointSnapshotsAreCopies(t *testing.T) {
 	tr := strideTrace(8192)
 	sys := testSystem(t)
 	var snaps []Stats
-	var dones []int
+	var dones []int64
 	_, err := sys.RunContext(context.Background(), tr, RunOptions{
 		CheckEvery: 1024,
-		OnCheckpoint: func(done int, st Stats) {
+		OnCheckpoint: func(done int64, st Stats) {
 			snaps = append(snaps, st)
 			dones = append(dones, done)
 		},
@@ -104,7 +104,7 @@ func TestCheckpointSnapshotsAreCopies(t *testing.T) {
 		t.Fatalf("want multiple checkpoints, got %d", len(snaps))
 	}
 	for i, st := range snaps {
-		if st.MemAccesses != int64(dones[i]) {
+		if st.MemAccesses != dones[i] {
 			t.Fatalf("checkpoint %d: snapshot has %d accesses, expected %d — snapshot aliased live state",
 				i, st.MemAccesses, dones[i])
 		}

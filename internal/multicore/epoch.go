@@ -37,10 +37,11 @@ package multicore
 //     that should have been invalidated away, a victim choice that should
 //     have seen an invalidated way, an intervention that should have found
 //     — or missed — a Modified copy), so the epoch is rolled back to the
-//     snapshot and the window [old clocks, H) is replayed with the serial
-//     stepper. Everything else commutes with the remote lookahead: a
-//     transaction on a line a core never held reads and writes nothing that
-//     core's lookup, hit bookkeeping or victim selection depends on.
+//     snapshot and the window [old clocks, H) is replayed by serialWindow —
+//     the serial stepper's runBatch, stopped at H. Everything else commutes
+//     with the remote lookahead: a transaction on a line a core never held
+//     reads and writes nothing that core's lookup, hit bookkeeping or victim
+//     selection depends on.
 //  4. Merge. With no conflicts, the buffered logs are applied at the
 //     barrier in exactly the serial arbitration order. The serial schedule
 //     orders accesses by (core clock before the access, core index); each
@@ -862,26 +863,18 @@ func (m *Machine) mergeEpoch(logs []*coreLog) (bool, error) {
 // serialWindow replays, with the serial stepper's exact arbitration, every
 // access that starts before the horizon. Afterwards each unfinished core's
 // clock is ≥ horizon — the same clean barrier state a merged epoch reaches —
-// so the next epoch proceeds identically to the serial schedule.
+// so the next epoch proceeds identically to the serial schedule. With
+// Config.Checks on it steps one access at a time so a violation the shadow
+// model records stops the window where it happened.
 func (m *Machine) serialWindow(horizon int64) error {
-	for {
-		var next *core
-		for _, c := range m.cores {
-			if c.pos >= len(c.trace) || c.cycles >= horizon {
-				continue
-			}
-			if next == nil || c.cycles < next.cycles {
-				next = c
-			}
-		}
-		if next == nil {
-			return nil
-		}
-		next.instructions += int64(next.trace[next.pos].Think) + 1
-		next.cycles += m.access(next, next.trace[next.pos])
-		next.pos++
-		if m.violation != nil {
-			return m.violation
+	if m.check == nil {
+		m.runBatch(math.MaxInt64, horizon)
+		return nil
+	}
+	for m.violation == nil {
+		if m.runBatch(1, horizon) == 0 {
+			break
 		}
 	}
+	return m.violation
 }

@@ -14,11 +14,13 @@
 // step picks the core with the smallest local cycle count (ties break to
 // the lowest core index — fixed round-robin arbitration) and executes its
 // next trace access to completion, including every bus transaction it
-// triggers. The epoch-parallel stepper (RunParallel, see epoch.go) runs
-// each core's lookahead on its own goroutine and replays the buffered bus
-// transactions in exactly that serial arbitration order at epoch barriers,
-// so its results are bit-identical to the serial stepper's for any epoch
-// length. Runs are therefore reproducible bit-for-bit at any host
+// triggers. That arbitration lives in one loop, runBatch (step.go): Step,
+// Run, RunContext and the epoch stepper's serial windows all step through
+// it, so they cannot disagree on the interleaving. The epoch-parallel
+// stepper (RunParallel, see epoch.go) runs each core's lookahead on its own
+// goroutine and replays the buffered bus transactions in exactly that
+// serial arbitration order at epoch barriers, so its results are
+// bit-identical to the serial stepper's for any epoch length. Runs are therefore reproducible bit-for-bit at any host
 // parallelism either way; the experiment runner's -jobs knob only fans out
 // across independent machines.
 package multicore
@@ -180,7 +182,7 @@ type Machine struct {
 	observer memsys.AccessObserver
 
 	// Inspection hook (SetInspector): fired at exact global access counts
-	// by the serial stepper's RunContext. RunParallelContext falls back to
+	// by the serial stepper's Run/RunContext. RunParallelContext falls back to
 	// the serial stepper while an inspector is attached — epoch barriers
 	// land at epoch-length-dependent access counts, so only the serial
 	// schedule can hit the exact deterministic stride positions that make
@@ -395,8 +397,8 @@ func (m *Machine) CoreStatsAt(i int) CoreStats {
 
 // SetInspector registers fn to run every `every` trace accesses (exact
 // global access counts), plus once at the end of a run that stops off the
-// stride grid; nil detaches. The hook fires inside RunContext — and inside
-// RunParallelContext, which falls back to the serial stepper while an
+// stride grid; nil detaches. The hook fires inside Run and RunContext (not
+// Step) — and inside RunParallelContext, which falls back to the serial stepper while an
 // inspector is attached so the frame sequence is bit-identical from either
 // entry point (epoch barriers land at epoch-dependent access counts and
 // cannot hit the stride positions exactly). fn runs on the simulation

@@ -2,9 +2,11 @@ package multicore
 
 import (
 	"context"
+	"math"
 
 	"colcache/internal/cache"
 	"colcache/internal/memory"
+	"colcache/internal/memsys"
 	"colcache/internal/memtrace"
 )
 
@@ -20,21 +22,9 @@ func (m *Machine) Step() (bool, error) {
 	if m.violation != nil {
 		return false, m.violation
 	}
-	var next *core
-	for _, c := range m.cores {
-		if c.pos >= len(c.trace) {
-			continue
-		}
-		if next == nil || c.cycles < next.cycles {
-			next = c
-		}
-	}
-	if next == nil {
+	if m.runBatch(1, math.MaxInt64) == 0 {
 		return false, nil
 	}
-	next.instructions += int64(next.trace[next.pos].Think) + 1
-	next.cycles += m.access(next, next.trace[next.pos])
-	next.pos++
 	if m.check != nil {
 		m.violation = m.checkStep()
 	}
@@ -42,83 +32,54 @@ func (m *Machine) Step() (bool, error) {
 }
 
 // Run steps the machine until every trace is exhausted (or a check fails).
-// With checks off it uses a tight loop that skips Step's per-step violation
-// bookkeeping; the arbitration (min-cycles core, lowest index on ties) is
-// identical, so runs are bit-for-bit the same either way.
+// It is RunContext with a context that is never canceled, so an attached
+// inspector fires exactly as it does there.
 func (m *Machine) Run() error {
-	if m.check == nil && m.violation == nil {
-		if len(m.cores) == 1 {
-			// Single core: no arbitration, so the instruction and cycle
-			// totals can ride in locals (registers) across the whole trace
-			// and land on the core once. access still charges rare-path
-			// cycles (writeback races, L2 demand) to c.cycles directly;
-			// the two pools are disjoint, so the final flush is exact.
-			c := m.cores[0]
-			var ins, cyc int64
-			for _, a := range c.trace[c.pos:] {
-				ins += int64(a.Think) + 1
-				cyc += m.access(c, a)
-			}
-			c.instructions += ins
-			c.cycles += cyc
-			c.pos = len(c.trace)
-			return nil
-		}
-		for {
-			var next *core
-			for _, c := range m.cores {
-				if c.pos >= len(c.trace) {
-					continue
-				}
-				if next == nil || c.cycles < next.cycles {
-					next = c
-				}
-			}
-			if next == nil {
-				return nil
-			}
-			next.instructions += int64(next.trace[next.pos].Think) + 1
-			next.cycles += m.access(next, next.trace[next.pos])
-			next.pos++
-		}
-	}
-	for {
-		more, err := m.Step()
-		if err != nil || !more {
-			return err
-		}
-	}
+	return m.RunContext(context.Background(), 0, nil)
 }
 
 // RunContext is Run with cooperative cancellation: every checkEvery steps
-// (zero or negative means 4096, memsys's default stride) the context is
-// polled and onCheckpoint, when non-nil, receives the number of steps
-// executed so far.
+// (zero or negative means memsys.DefaultCheckEvery) the context is polled
+// and onCheckpoint, when non-nil, receives the number of steps executed so
+// far. The steps between two stride boundaries (checkpoint or inspection)
+// run as one runBatch, so the bookkeeping amortizes over thousands of
+// accesses; with Config.Checks on every batch is one step followed by the
+// invariant walk.
 func (m *Machine) RunContext(ctx context.Context, checkEvery int, onCheckpoint func(done int64)) error {
-	if checkEvery <= 0 {
-		checkEvery = 4096
+	if m.violation != nil {
+		return m.violation
+	}
+	every := int64(checkEvery)
+	if every <= 0 {
+		every = memsys.DefaultCheckEvery
 	}
 	// The inspector fires at exact GLOBAL access counts (base + done), so a
 	// resumed run continues the same stride grid the interrupted one used
 	// and the frame sequence stays a pure function of (config, traces,
 	// stride) regardless of how the run was sliced into calls.
 	base := m.accessesDone()
-	var inspect, nextInspect int64
+	var inspect int64
 	if m.inspectFn != nil && m.inspectEvery > 0 {
 		inspect = m.inspectEvery
-		nextInspect = (base/inspect + 1) * inspect
-	}
-	if m.check == nil && m.violation == nil {
-		return m.runContextFast(ctx, int64(checkEvery), base, inspect, nextInspect, onCheckpoint)
 	}
 	var done int64
 	for {
-		more, err := m.Step()
-		if err != nil {
-			return err
+		batch := every - done%every
+		if inspect > 0 {
+			batch = min(batch, inspect-(base+done)%inspect)
 		}
-		if !more {
-			if inspect > 0 && base+done != nextInspect-inspect {
+		if m.check != nil {
+			batch = 1
+		}
+		ran := m.runBatch(batch, math.MaxInt64)
+		done += ran
+		if m.check != nil && ran > 0 {
+			if m.violation = m.checkStep(); m.violation != nil {
+				return m.violation
+			}
+		}
+		if ran < batch { // every trace exhausted
+			if inspect > 0 && (base+done)%inspect != 0 {
 				m.inspectFn(base + done)
 			}
 			if onCheckpoint != nil {
@@ -126,12 +87,10 @@ func (m *Machine) RunContext(ctx context.Context, checkEvery int, onCheckpoint f
 			}
 			return ctx.Err()
 		}
-		done++
-		if base+done == nextInspect {
+		if inspect > 0 && (base+done)%inspect == 0 {
 			m.inspectFn(base + done)
-			nextInspect += inspect
 		}
-		if done%int64(checkEvery) == 0 {
+		if done%every == 0 {
 			if onCheckpoint != nil {
 				onCheckpoint(done)
 			}
@@ -142,13 +101,19 @@ func (m *Machine) RunContext(ctx context.Context, checkEvery int, onCheckpoint f
 	}
 }
 
-// runBatch executes at most limit accesses of the tight checks-off
-// arbitration loop and returns how many ran (short only when every trace
-// is exhausted). It must stay a small dedicated function: inlining this
-// loop into runContextFast's stride bookkeeping puts enough variables
-// live across the m.access call that the register allocator spills on
-// every iteration, costing ~25% of the stepper's throughput.
-func (m *Machine) runBatch(limit int64) int64 {
+// runBatch is the serial stepper: it executes up to limit accesses, each on
+// the unfinished core with the smallest clock (lowest index on ties), and
+// returns how many ran. It stops early when every trace is exhausted or
+// when the chosen core's clock has reached horizon — then every unfinished
+// core's has. Every entry point steps through here. It must stay a small
+// dedicated function: inlining this loop into a caller's stride
+// bookkeeping puts enough variables live across the m.access call that the
+// register allocator spills on every iteration, costing ~25% of the
+// stepper's throughput.
+func (m *Machine) runBatch(limit, horizon int64) int64 {
+	if len(m.cores) == 1 && horizon == math.MaxInt64 {
+		return m.runSolo(limit)
+	}
 	var ran int64
 	for ran < limit {
 		var next *core
@@ -160,7 +125,7 @@ func (m *Machine) runBatch(limit int64) int64 {
 				next = c
 			}
 		}
-		if next == nil {
+		if next == nil || next.cycles >= horizon {
 			break
 		}
 		next.instructions += int64(next.trace[next.pos].Think) + 1
@@ -171,47 +136,26 @@ func (m *Machine) runBatch(limit int64) int64 {
 	return ran
 }
 
-// runContextFast is RunContext's checks-off hot loop: the same tight
-// arbitration Run uses (so the interleaving is bit-identical), batched to
-// the nearest stride boundary so the inspection and checkpoint bookkeeping
-// amortizes over thousands of accesses. This keeps an attached inspector's
-// cost to the frame captures themselves.
-func (m *Machine) runContextFast(ctx context.Context, checkEvery, base, inspect, nextInspect int64, onCheckpoint func(done int64)) error {
-	var done int64
-	untilCheck := checkEvery
-	for {
-		// Run up to the nearest stride boundary (checkpoint or inspection).
-		batch := untilCheck
-		if inspect > 0 {
-			if ui := nextInspect - (base + done); ui < batch {
-				batch = ui
-			}
-		}
-		ran := m.runBatch(batch)
-		done += ran
-		if ran < batch { // every trace exhausted
-			if inspect > 0 && base+done != nextInspect-inspect {
-				m.inspectFn(base + done)
-			}
-			if onCheckpoint != nil {
-				onCheckpoint(done)
-			}
-			return ctx.Err()
-		}
-		if inspect > 0 && base+done == nextInspect {
-			m.inspectFn(base + done)
-			nextInspect += inspect
-		}
-		if untilCheck -= ran; untilCheck == 0 {
-			untilCheck = checkEvery
-			if onCheckpoint != nil {
-				onCheckpoint(done)
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
+// runSolo is runBatch on a single-core machine: with no arbitration the
+// instruction and cycle totals ride in locals (registers) across the batch
+// and land on the core once. access still charges rare-path cycles
+// (writeback races, L2 demand) to c.cycles directly; the two pools are
+// disjoint, so the final flush is exact.
+func (m *Machine) runSolo(limit int64) int64 {
+	c := m.cores[0]
+	batch := c.trace[c.pos:]
+	if int64(len(batch)) > limit {
+		batch = batch[:limit]
 	}
+	var ins, cyc int64
+	for _, a := range batch {
+		ins += int64(a.Think) + 1
+		cyc += m.access(c, a)
+	}
+	c.instructions += ins
+	c.cycles += cyc
+	c.pos += len(batch)
+	return int64(len(batch))
 }
 
 // access executes one trace access on core c, including every bus

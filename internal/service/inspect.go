@@ -143,10 +143,10 @@ func (s *Server) wireSimInspection(j *Job, b *Built, opts *memsys.RunOptions) {
 	// adaptive controller already turned it on.
 	b.Sys.EnablePerTintStats()
 	red := inspect.NewSystemReducer(b.Sys)
-	total := len(b.Trace)
-	opts.InspectEvery = s.inspect.every
-	opts.OnInspect = func(done int, st memsys.Stats) {
-		sink.emit(func(f *inspect.Frame) { red.Reduce(f, int64(done), done == total) })
+	total := int64(len(b.Trace))
+	opts.InspectEvery = int64(s.inspect.every)
+	opts.OnInspect = func(done int64, st memsys.Stats) {
+		sink.emit(func(f *inspect.Frame) { red.Reduce(f, done, done == total) })
 	}
 }
 

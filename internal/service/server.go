@@ -302,19 +302,15 @@ func (s *Server) runSimulate(ctx context.Context, j *Job) error {
 	}
 	j.setRunning(b.Sys)
 	total := int64(len(b.Trace))
-	var resume memsys.Checkpoint
-	if j.Resume != nil {
-		resume = *j.Resume
-	}
 	var lastCycles, lastAccesses int64
 	opts := memsys.RunOptions{
 		CheckEvery: s.cfg.CheckEvery,
-		OnCheckpoint: func(done int, st memsys.Stats) {
+		OnCheckpoint: func(done int64, st memsys.Stats) {
 			s.metrics.SimCycles.Add(st.Cycles - lastCycles)
 			s.metrics.SimAccesses.Add(st.MemAccesses - lastAccesses)
 			lastCycles, lastAccesses = st.Cycles, st.MemAccesses
 			p := colcache.JobProgress{
-				AccessesDone:  int64(done),
+				AccessesDone:  done,
 				AccessesTotal: total,
 				Cycles:        st.Cycles,
 				CacheMissRate: st.Cache.MissRate(),
@@ -326,14 +322,17 @@ func (s *Server) runSimulate(ctx context.Context, j *Job) error {
 			// Journal progress without a sync — a lost checkpoint only
 			// costs recovery time, never correctness. The final position
 			// is skipped: the done record supersedes it.
-			if int64(done) < total {
-				cp := memsys.Checkpoint{Done: int64(done), Cycles: st.Cycles}
+			if done < total {
+				cp := memsys.Checkpoint{Done: done, Cycles: st.Cycles}
 				s.appendRecord(recCheckpoint, recMeta{ID: j.ID, Checkpoint: &cp}, nil, false)
 			}
 		},
 	}
+	if j.Resume != nil {
+		opts.Resume = *j.Resume
+	}
 	s.wireSimInspection(j, b, &opts)
-	cycles, err := b.Sys.RunContextFrom(ctx, b.Trace, resume, opts)
+	cycles, err := b.Sys.RunContext(ctx, b.Trace, opts)
 	if err != nil {
 		return err
 	}
