@@ -33,7 +33,8 @@
 #   conformance / cover  - differential oracle matrix + coverage gate
 #   multicore            - MSI -race sweep, stepper determinism (replicated
 #                          disjoint traces and contended idct shards),
-#                          streamed vs materialized replay, BENCH_PR5
+#                          streamed vs materialized replay (stepper
+#                          throughput is archived by benchcore)
 #   perfbench-test       - perfbench's own tests: a short run of every
 #                          workload and a corrupted result that must fail
 #   watch                - live-inspection smoke: colserved streams SSE
@@ -205,8 +206,8 @@ conformance:
 # seeded random invariant sweep and the epoch-parallel equivalence tests),
 # the stepper's determinism — the interference study must be byte-identical
 # at any -jobs value, and the epoch-parallel stepper must print the exact
-# serial output at any epoch length — and a throughput snapshot for both
-# steppers at 1/2/4/8 cores in BENCH_PR5.json. The first colsim legs
+# serial output at any epoch length. Both steppers' throughput at 1/2/4/8
+# cores is recorded by benchcore, not here. The first colsim legs
 # replicate one trace into disjoint per-core windows, so their epochs
 # merge; the idct shard leg deals one trace round-robin across the cores,
 # so the cores share lines and the epoch stepper rolls back and backs off.
@@ -233,8 +234,6 @@ multicore:
 	/tmp/colsim -binary /tmp/gz.bin > /tmp/gz-run.txt
 	/tmp/colsim -binary -stream /tmp/gz.bin > /tmp/gz-stream.txt
 	diff -I '^trace:' /tmp/gz-run.txt /tmp/gz-stream.txt
-	/tmp/paperbench -quick -mcscale BENCH_PR5.json
-	test -s BENCH_PR5.json
 
 # The benchmark's own tests (perfbench is a separate Go module, so the
 # root `go test ./...` skips it): a short plain and traced run of every

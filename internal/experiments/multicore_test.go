@@ -77,11 +77,11 @@ func TestRunMulticoreRejectsBadConfig(t *testing.T) {
 // The corebench epoch rows give every core a disjoint address window, so no
 // epoch conflicts and conflict backoff never throttles speculation there.
 func TestScalingEpochRowsNeverBackOff(t *testing.T) {
-	rows, err := RunMulticoreScalingParallel([]int{2, 4, 8}, 20000, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
+	for _, n := range []int{2, 4, 8} {
+		r, err := measureStepper(epochStepper, n, 20000)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if r.SerialWindows != 0 {
 			t.Errorf("%d cores: %d serial backoff windows on disjoint traces", r.Cores, r.SerialWindows)
 		}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	colcache "colcache"
-	"colcache/internal/experiments"
 	"colcache/internal/memsys"
 	"colcache/internal/memtrace"
 	"colcache/internal/runner"
@@ -491,45 +490,33 @@ func (s *Server) runSweep(ctx context.Context, j *Job) error {
 	if workers <= 0 || workers > s.cfg.SweepWorkers {
 		workers = s.cfg.SweepWorkers
 	}
-	jobs := make([]experiments.SpecJob, len(points))
-	for i := range points {
-		spec := points[i]
-		jobs[i] = experiments.SpecJob{
-			Label: spec.Label,
-			Build: func() (*memsys.System, memtrace.Trace, error) {
-				b, err := BuildSim(spec, nil, s.cfg.Limits)
-				if err != nil {
-					return nil, nil, err
-				}
-				return b.Sys, b.Trace, nil
-			},
-			After: func(sys *memsys.System, res *experiments.SpecResult) error {
-				s.metrics.SimCycles.Add(res.Stats.Cycles)
-				s.metrics.SimAccesses.Add(res.Stats.MemAccesses)
-				// Rebuild the wire result from the finished machine.
-				b := &Built{Sys: sys}
-				if spec.Workload != nil {
-					b.Workload = spec.Workload.Name
-				}
-				r := Result(spec.Label, b, res.Cycles, spec.Machine)
-				r.TraceAccesses = res.Stats.MemAccesses
-				res.Extra = colcache.SweepPoint{Label: spec.Label, Machine: spec.Machine, Result: r}
-				return nil
-			},
-		}
-	}
-	results, err := experiments.RunSpecs(ctx, jobs, workers, s.cfg.CheckEvery, func(done, total int) {
-		j.publishProgress(colcache.JobProgress{PointsDone: done, PointsTotal: total})
-	})
+	// Each point builds and runs exactly as a /v1/simulate job would, so a
+	// sweep point's result equals the standalone result for its spec.
+	results, err := runner.Map(ctx, points,
+		func(ctx context.Context, spec colcache.SimSpec, _ int) (colcache.SweepPoint, error) {
+			b, err := BuildSim(spec, nil, s.cfg.Limits)
+			if err != nil {
+				return colcache.SweepPoint{}, err
+			}
+			cycles, err := b.Sys.RunContext(ctx, b.Trace, memsys.RunOptions{CheckEvery: s.cfg.CheckEvery})
+			if err != nil {
+				return colcache.SweepPoint{}, err
+			}
+			st := b.Sys.Stats()
+			s.metrics.SimCycles.Add(st.Cycles)
+			s.metrics.SimAccesses.Add(st.MemAccesses)
+			return colcache.SweepPoint{Label: spec.Label, Machine: spec.Machine,
+				Result: Result(spec.Label, b, cycles, spec.Machine)}, nil
+		},
+		runner.Options{Workers: workers, Progress: func(done, total int) {
+			j.publishProgress(colcache.JobProgress{PointsDone: done, PointsTotal: total})
+		}})
 	if err != nil {
-		// Unwrap the runner's job attribution so context errors keep their
-		// identity for the canceled/timeout classification above.
+		// The runner's job attribution unwraps, so context errors keep
+		// their identity for the canceled/timeout classification above.
 		return err
 	}
-	sweep := &colcache.SweepResult{Points: make([]colcache.SweepPoint, len(results))}
-	for i, r := range results {
-		sweep.Points[i] = r.Extra.(colcache.SweepPoint)
-	}
+	sweep := &colcache.SweepResult{Points: results}
 	s.commitResult(j, nil, sweep)
 	return nil
 }
