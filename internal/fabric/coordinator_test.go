@@ -6,8 +6,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,8 +46,14 @@ func (w *testWorker) kill() {
 
 func startTestWorker(t *testing.T, coordURL, name string, cfg service.Config) *testWorker {
 	t.Helper()
+	return startWrappedWorker(t, coordURL, name, cfg, func(h http.Handler) http.Handler { return h })
+}
+
+// startWrappedWorker is startTestWorker with the worker's API behind wrap.
+func startWrappedWorker(t *testing.T, coordURL, name string, cfg service.Config, wrap func(http.Handler) http.Handler) *testWorker {
+	t.Helper()
 	srv := service.New(cfg)
-	hs := httptest.NewServer(srv.Handler())
+	hs := httptest.NewServer(wrap(srv.Handler()))
 	w := &testWorker{name: name, srv: srv, http: hs}
 	w.agent = StartAgent(AgentConfig{
 		Coordinator: coordURL,
@@ -200,7 +210,17 @@ func TestCoordinatorRoutesByDigest(t *testing.T) {
 func TestCoordinatorStealsFromDeadWorker(t *testing.T) {
 	_, coordURL := startTestCoordinator(t, CoordinatorConfig{PeerTTL: 250 * time.Millisecond})
 	w1 := startTestWorker(t, coordURL, "w1", service.Config{})
-	w2 := startTestWorker(t, coordURL, "w2", service.Config{})
+	// The victim never answers a poll, so the background reconciler cannot
+	// retire a victim-owned job that finished before the kill.
+	w2 := startWrappedWorker(t, coordURL, "w2", service.Config{}, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") {
+				writeShed(w, http.StatusServiceUnavailable, 1, "polls hidden")
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
 	waitAlive(t, coordURL, 2)
 
 	// Submit a batch without polling: the coordinator cannot know which
@@ -463,4 +483,262 @@ func TestHash64Deterministic(t *testing.T) {
 	if hash64(fmt.Sprintf("k%d", 1)) == hash64(fmt.Sprintf("k%d", 2)) {
 		t.Fatal("distinct keys collided (astronomically unlikely)")
 	}
+}
+
+func waitPending(t *testing.T, coordURL string, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		if clusterViewOf(t, coordURL).PendingJobs == n {
+			return
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	t.Fatalf("pending jobs never reached %d (now %d)", n, clusterViewOf(t, coordURL).PendingJobs)
+}
+
+// pollVia fetches one job document through the coordinator.
+func pollVia(t *testing.T, coordURL, id string) (int, colcache.JobInfo) {
+	t.Helper()
+	resp, err := http.Get(coordURL + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatalf("poll %s: %v", id, err)
+	}
+	defer resp.Body.Close()
+	var info colcache.JobInfo
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+			t.Fatalf("poll %s decode: %v", id, err)
+		}
+	}
+	return resp.StatusCode, info
+}
+
+// heartbeatOnce registers a worker with one plain heartbeat request.
+func heartbeatOnce(t *testing.T, coordURL, name, baseURL string) {
+	t.Helper()
+	body, _ := json.Marshal(Heartbeat{Name: name, BaseURL: baseURL})
+	resp, err := http.Post(coordURL+"/fabric/v1/heartbeat", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("heartbeat: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("heartbeat: HTTP %d", resp.StatusCode)
+	}
+}
+
+// scriptedWorker is a fake worker whose jobs change state only when the
+// test says so: every submission is accepted as running, and polls report
+// the scripted state.
+type scriptedWorker struct {
+	mu     sync.Mutex
+	seq    int
+	states map[string]string
+}
+
+func (s *scriptedWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	switch {
+	case r.Method == http.MethodPost && r.URL.Path == "/v1/simulate":
+		s.mu.Lock()
+		s.seq++
+		id := fmt.Sprintf("w%d", s.seq)
+		s.states[id] = colcache.StateRunning
+		s.mu.Unlock()
+		writeJSON(w, http.StatusAccepted, colcache.JobInfo{ID: id, Kind: "simulate", State: colcache.StateRunning})
+	case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/"):
+		id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
+		s.mu.Lock()
+		state, ok := s.states[id]
+		s.mu.Unlock()
+		if !ok {
+			writeJSON(w, http.StatusNotFound, colcache.APIError{Error: "no such job"})
+			return
+		}
+		writeJSON(w, http.StatusOK, colcache.JobInfo{ID: id, Kind: "simulate", State: state})
+	default:
+		http.NotFound(w, r)
+	}
+}
+
+func (s *scriptedWorker) finish(ids ...string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, id := range ids {
+		s.states[id] = colcache.StateDone
+	}
+}
+
+// TestCoordinatorReconcilesUnpolledRoutes: a job nobody polls is retired
+// by the background reconciler, and its terminal document stays
+// answerable after the worker is gone.
+func TestCoordinatorReconcilesUnpolledRoutes(t *testing.T) {
+	_, coordURL := startTestCoordinator(t, CoordinatorConfig{})
+	w1 := startTestWorker(t, coordURL, "w1", service.Config{})
+	waitAlive(t, coordURL, 1)
+
+	info := submitVia(t, coordURL, streamSpec(4096))
+	waitPending(t, coordURL, 0)
+	w1.kill()
+
+	code, final := pollVia(t, coordURL, info.ID)
+	if code != http.StatusOK {
+		t.Fatalf("poll after reconcile: HTTP %d", code)
+	}
+	if final.State != colcache.StateDone || final.ID != info.ID || final.Node != "w1" || final.Recovered {
+		t.Fatalf("reconciled document = %+v", final)
+	}
+	if final.Digest != info.Digest || final.Result == nil {
+		t.Fatalf("reconciled document lost digest or result: %+v", final)
+	}
+}
+
+// TestCoordinatorReplacesJobLostByLiveWorker: a worker that restarts over
+// fresh state behind the same URL answers 404 for the job; the next poll
+// re-places it from the retained body and it finishes as recovered.
+func TestCoordinatorReplacesJobLostByLiveWorker(t *testing.T) {
+	_, coordURL := startTestCoordinator(t, CoordinatorConfig{})
+	first := service.New(service.Config{})
+	fresh := service.New(service.Config{})
+	t.Cleanup(func() {
+		first.Drain(context.Background())
+		fresh.Drain(context.Background())
+	})
+	var mu sync.Mutex
+	var restart sync.Once
+	handler := first.Handler()
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		h := handler
+		mu.Unlock()
+		h.ServeHTTP(w, r)
+		if r.Method == http.MethodPost {
+			// The first accepted submission is the last thing the old
+			// process does: every later request meets the fresh one.
+			restart.Do(func() {
+				mu.Lock()
+				handler = fresh.Handler()
+				mu.Unlock()
+			})
+		}
+	}))
+	t.Cleanup(hs.Close)
+	agent := StartAgent(AgentConfig{Coordinator: coordURL, Name: "w1", BaseURL: hs.URL, Interval: 50 * time.Millisecond})
+	t.Cleanup(agent.Stop)
+	waitAlive(t, coordURL, 1)
+
+	info := submitVia(t, coordURL, streamSpec(4096))
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	final, err := colcache.NewClient(coordURL, nil).Wait(ctx, info.ID)
+	if err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if final.State != colcache.StateDone || !final.Recovered || final.ID != info.ID || final.Node != "w1" {
+		t.Fatalf("re-placed job ended %+v", final)
+	}
+	if cv := clusterViewOf(t, coordURL); cv.JobsStolen != 1 || cv.StealFailures != 0 {
+		t.Fatalf("re-placement books: stolen %d, failures %d; want 1, 0", cv.JobsStolen, cv.StealFailures)
+	}
+}
+
+// TestCoordinatorRelaysWorkerAnswersVerbatim: backpressure and validation
+// answers reach the client with the worker's status, Retry-After, content
+// type and body, and are not retried.
+func TestCoordinatorRelaysWorkerAnswersVerbatim(t *testing.T) {
+	_, coordURL := startTestCoordinator(t, CoordinatorConfig{PeerTTL: 10 * time.Second})
+	type answer struct {
+		status            int
+		retryAfter, ctype string
+		body              string
+	}
+	answers := []answer{
+		{http.StatusTooManyRequests, "7", "application/json", `{"error":"queue full (9 waiting)","retry_after_seconds":7}` + "\n"},
+		{http.StatusBadRequest, "", "text/plain; charset=utf-8", "bad spec: sets must be a power of two\n"},
+	}
+	var calls atomic.Int32
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n := int(calls.Add(1)) - 1
+		if r.Method != http.MethodPost || r.URL.Path != "/v1/simulate" || n >= len(answers) {
+			http.Error(w, "unexpected request", http.StatusInternalServerError)
+			return
+		}
+		a := answers[n]
+		if a.retryAfter != "" {
+			w.Header().Set("Retry-After", a.retryAfter)
+		}
+		w.Header().Set("Content-Type", a.ctype)
+		w.WriteHeader(a.status)
+		io.WriteString(w, a.body)
+	}))
+	t.Cleanup(fake.Close)
+	heartbeatOnce(t, coordURL, "fake", fake.URL)
+	waitAlive(t, coordURL, 1)
+
+	spec, _ := json.Marshal(streamSpec(4096))
+	for _, want := range answers {
+		resp, err := http.Post(coordURL+"/v1/simulate", "application/json", bytes.NewReader(spec))
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want.status || string(body) != want.body {
+			t.Fatalf("relayed HTTP %d %q, want HTTP %d %q", resp.StatusCode, body, want.status, want.body)
+		}
+		if got := resp.Header.Get("Retry-After"); got != want.retryAfter {
+			t.Fatalf("relayed Retry-After %q, want %q", got, want.retryAfter)
+		}
+		if got := resp.Header.Get("Content-Type"); got != want.ctype {
+			t.Fatalf("relayed Content-Type %q, want %q", got, want.ctype)
+		}
+	}
+	if n := calls.Load(); n != int32(len(answers)) {
+		t.Fatalf("worker saw %d submissions, want %d (no retries)", n, len(answers))
+	}
+	if cv := clusterViewOf(t, coordURL); cv.JobsRouted != 0 || cv.PendingJobs != 0 || cv.ForwardErrors != 0 {
+		t.Fatalf("relayed rejections changed the books: %+v", cv)
+	}
+}
+
+// TestCoordinatorRetentionEvictsOldestTerminal: past RetainJobs the
+// oldest terminal routes go first, and a non-terminal route never goes.
+func TestCoordinatorRetentionEvictsOldestTerminal(t *testing.T) {
+	_, coordURL := startTestCoordinator(t, CoordinatorConfig{RetainJobs: 2})
+	sw := &scriptedWorker{states: map[string]string{}}
+	hs := httptest.NewServer(sw)
+	t.Cleanup(hs.Close)
+	agent := StartAgent(AgentConfig{Coordinator: coordURL, Name: "w1", BaseURL: hs.URL, Interval: 50 * time.Millisecond})
+	t.Cleanup(agent.Stop)
+	waitAlive(t, coordURL, 1)
+
+	submit := func(i int) string { return submitVia(t, coordURL, streamSpec(uint64(4096+64*i))).ID }
+	expect := func(id string, code int, state string) {
+		t.Helper()
+		got, info := pollVia(t, coordURL, id)
+		if got != code || (code == http.StatusOK && info.State != state) {
+			t.Fatalf("poll %s: HTTP %d state %q, want HTTP %d state %q", id, got, info.State, code, state)
+		}
+	}
+
+	// Three running routes exceed the cap of two: none is terminal, so
+	// none is evicted.
+	a, b, c := submit(0), submit(1), submit(2)
+	sw.finish("w2")
+	waitPending(t, coordURL, 2)
+	d := submit(3) // evicts b, the only terminal route
+	expect(a, http.StatusOK, colcache.StateRunning)
+	expect(b, http.StatusNotFound, "")
+	expect(c, http.StatusOK, colcache.StateRunning)
+	expect(d, http.StatusOK, colcache.StateRunning)
+
+	// All three terminal: the next route evicts the two oldest and keeps
+	// the newest terminal one.
+	sw.finish("w1", "w3", "w4")
+	waitPending(t, coordURL, 0)
+	e := submit(4)
+	expect(a, http.StatusNotFound, "")
+	expect(c, http.StatusNotFound, "")
+	expect(d, http.StatusOK, colcache.StateDone)
+	expect(e, http.StatusOK, colcache.StateRunning)
 }
