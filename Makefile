@@ -23,7 +23,8 @@
 #   recovery             - kill -9 a durable colserved mid-work, restart,
 #                          prove no accepted job is lost or duplicated
 #   fabric               - distributed colserved gates: ring/coordinator
-#                          unit tests under -race, then the chaos test
+#                          unit tests under -race -count=3, then the
+#                          chaos test
 #                          (3 real workers, SIGKILL one mid-sweep, every
 #                          accepted job still finishes; a joining worker
 #                          remaps only ~1/N of the keyspace)
@@ -144,15 +145,17 @@ recovery:
 	$(GO) test -race -run TestKillDashNineRecovery -v ./cmd/colserved
 
 # Distributed-fabric gates: the consistent-hash ring, registry, and
-# coordinator protocol under -race (including in-process steal and
-# cached-relay tests), the colload digest-retry and -fabric load tests,
-# then the chaos integration test — a real coordinator plus three
+# coordinator protocol under -race, three times over so the timing-based
+# tests (steal, cached relay, reconcile, re-place, expired-worker relay)
+# show they are not flaky, the colload digest-retry and -fabric load
+# tests, then the chaos integration test — a real coordinator plus three
 # race-built worker daemons, one SIGKILLed while its sweep is
 # demonstrably running: every accepted job must still reach done (stolen
 # onto ring successors, zero steal failures) and a fourth worker joining
 # afterwards may remap only ~1/N of the keyspace.
 fabric:
-	$(GO) test -race ./internal/fabric ./cmd/colload
+	$(GO) test -race -count=3 ./internal/fabric
+	$(GO) test -race ./cmd/colload
 	$(GO) test -race -run TestFabricChaos -v ./cmd/colserved
 
 # Fabric benchmark: a coordinator with three durable workers under a

@@ -2,7 +2,9 @@ package fabric
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -21,20 +23,22 @@ import (
 type CoordinatorConfig struct {
 	// VNodes is the virtual-node count per worker (default DefaultVNodes).
 	VNodes int
-	// PeerTTL expires a worker that stops heartbeating (default 2s).
+	// PeerTTL expires a worker that stops heartbeating (default 2s). The
+	// failure detector sweeps every PeerTTL/4, at most every 25ms.
 	PeerTTL time.Duration
-	// SweepEvery is the failure-detector period (default PeerTTL/4).
-	SweepEvery time.Duration
-	// MaxBodyBytes bounds a forwarded submission body (default 32 MiB).
+	// MaxBodyBytes bounds a submission body and a worker's buffered answer
+	// (default 32 MiB).
 	MaxBodyBytes int64
 	// RetainJobs bounds the routing table; oldest terminal routes are
 	// evicted first (default 16384).
 	RetainJobs int
-	// ForwardTimeout bounds one proxied request (default 30s).
-	ForwardTimeout time.Duration
 	// Logf receives membership and stealing events (default: silent).
 	Logf func(format string, args ...any)
 }
+
+// forwardTimeout bounds one buffered call to a worker. A streaming relay
+// is bounded by its subscriber's request instead.
+const forwardTimeout = 30 * time.Second
 
 func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	if c.VNodes <= 0 {
@@ -43,20 +47,11 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	if c.PeerTTL <= 0 {
 		c.PeerTTL = 2 * time.Second
 	}
-	if c.SweepEvery <= 0 {
-		c.SweepEvery = c.PeerTTL / 4
-	}
-	if c.SweepEvery < 25*time.Millisecond {
-		c.SweepEvery = 25 * time.Millisecond
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 32 << 20
 	}
 	if c.RetainJobs <= 0 {
 		c.RetainJobs = 16384
-	}
-	if c.ForwardTimeout <= 0 {
-		c.ForwardTimeout = 30 * time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -64,28 +59,32 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	return c
 }
 
-// routedJob is the coordinator's record of one forwarded submission. The
-// original body is retained until the job is terminal, because it is the
-// steal currency: if the owning worker dies, the coordinator resubmits
-// the body to the digest's new ring owner.
-type routedJob struct {
-	fabricID    string
+// submission is a client's request as the coordinator retains it: the
+// steal currency. If the owning worker dies, the coordinator places the
+// same request with the digest's new ring owner.
+type submission struct {
 	digest      string
 	kind        string
 	path        string // "/v1/simulate" or "/v1/sweep"
 	rawQuery    string // octet-stream machine selection rides in the query
 	contentType string
+	body        []byte // dropped once the job is terminal
+}
 
-	mu       sync.Mutex
-	body     []byte
+// routedJob is the coordinator's record of one forwarded submission.
+type routedJob struct {
+	fabricID string
+	accepted time.Time
+
+	mu sync.Mutex
+	submission
 	node     string // current assignment
 	workerID string // job ID on that node
 	stolen   bool
 	stealing bool
 	terminal bool
 	failMsg  string            // set when stealing exhausted every option
-	cached   *colcache.JobInfo // a steal answered from a successor's result cache
-	accepted time.Time
+	cached   *colcache.JobInfo // the retained terminal document
 }
 
 // Coordinator is the fabric control plane: it owns the ring and the
@@ -97,9 +96,6 @@ type Coordinator struct {
 	reg    *Registry
 	mux    *http.ServeMux
 	client *http.Client
-	// stream has no timeout: it carries open-ended SSE relays, which the
-	// subscriber's request context bounds instead of the forward budget.
-	stream *http.Client
 	start  time.Time
 
 	mu      sync.Mutex
@@ -149,8 +145,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		ring:   NewRing(cfg.VNodes),
 		reg:    NewRegistry(cfg.PeerTTL),
 		mux:    http.NewServeMux(),
-		client: &http.Client{Timeout: cfg.ForwardTimeout},
-		stream: &http.Client{},
+		client: &http.Client{},
 		start:  time.Now(),
 		jobs:   make(map[string]*routedJob),
 		byNode: make(map[string]int64),
@@ -194,7 +189,7 @@ func (c *Coordinator) Close() {
 // their unfinished jobs stolen onto ring successors.
 func (c *Coordinator) sweeper() {
 	defer c.wg.Done()
-	tick := time.NewTicker(c.cfg.SweepEvery)
+	tick := time.NewTicker(max(c.cfg.PeerTTL/4, 25*time.Millisecond))
 	defer tick.Stop()
 	for {
 		select {
@@ -233,49 +228,27 @@ func (c *Coordinator) reconcile(limit int) {
 	}
 	c.mu.Unlock()
 	for _, j := range stale {
-		c.refreshJob(j)
+		node, workerID := j.assignment()
+		c.refresh(j, node, workerID)
 	}
 }
 
-// refreshJob asks a job's worker for its current state and retires the
-// route if it is terminal. Dead workers are left to the steal path.
-func (c *Coordinator) refreshJob(j *routedJob) {
-	j.mu.Lock()
-	node, workerID, stolen, digest := j.node, j.workerID, j.stolen, j.digest
-	j.mu.Unlock()
-	view, known := c.reg.Get(node)
-	if !known || !view.Alive {
-		return
-	}
-	resp, err := c.forward(http.MethodGet, view.BaseURL, "/v1/jobs/"+workerID, "", "", nil)
+// refresh asks the worker of j's assignment (node, workerID) for the
+// job's current state and adopts the answer. It returns the adopted
+// document (nil when the worker could not be called or answered without
+// one) and the worker's status (0 when it could not be called). Expired
+// workers are left to the steal path.
+func (c *Coordinator) refresh(j *routedJob, node, workerID string) (*colcache.JobInfo, int) {
+	resp, payload, err := c.call(node, hop{method: http.MethodGet, path: "/v1/jobs/" + workerID})
 	if err != nil {
-		c.forwardErrors.Add(1)
-		c.workerDown(node, "reconcile: "+err.Error())
-		return
+		return nil, 0
 	}
-	payload, _ := io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxBodyBytes))
-	resp.Body.Close()
 	var info colcache.JobInfo
 	if resp.StatusCode != http.StatusOK || json.Unmarshal(payload, &info) != nil {
-		return
+		return nil, resp.StatusCode
 	}
-	switch info.State {
-	case colcache.StateDone, colcache.StateFailed, colcache.StateCanceled:
-		info.ID = j.fabricID
-		info.Node = node
-		info.Recovered = stolen
-		if info.Digest == "" {
-			info.Digest = digest
-		}
-		j.mu.Lock()
-		if j.node == node && j.workerID == workerID && !j.terminal {
-			j.terminal = true
-			j.body = nil
-			doc := info
-			j.cached = &doc
-		}
-		j.mu.Unlock()
-	}
+	c.adopt(j, node, workerID, &info)
+	return &info, resp.StatusCode
 }
 
 // workerDown expires a worker immediately (connection-refused beats the
@@ -323,7 +296,7 @@ func (c *Coordinator) stealFrom(dead string) {
 	}
 }
 
-// stealJob resubmits one orphaned job to the current ring owner of its
+// stealJob places one orphaned job with the current ring owner of its
 // digest, walking further successors if they die too. Exhausting every
 // option marks the job failed — and bumps the steal-failure counter that
 // colload -fabric treats as lost work.
@@ -334,10 +307,9 @@ func (c *Coordinator) stealJob(j *routedJob) {
 		j.mu.Unlock()
 	}()
 	j.mu.Lock()
-	body, path, rawQuery, contentType := j.body, j.path, j.rawQuery, j.contentType
-	terminal := j.terminal
+	sub, terminal := j.submission, j.terminal
 	j.mu.Unlock()
-	if terminal || body == nil {
+	if terminal || sub.body == nil {
 		return
 	}
 	for attempt := 0; attempt < 16; attempt++ {
@@ -346,87 +318,57 @@ func (c *Coordinator) stealJob(j *routedJob) {
 			return
 		default:
 		}
-		owner, view, ok := c.pickOwner(j.digest)
-		if !ok {
+		p := c.place(sub)
+		switch p.outcome {
+		case placeNoWorker:
 			// No live workers right now. An empty ring is often transient —
 			// a GC-stalled worker's next heartbeat re-registers it — so wait
 			// out part of the grace window instead of orphaning the job.
-			select {
-			case <-c.stopc:
-				return
-			case <-time.After(c.cfg.PeerTTL / 2):
-			}
-			continue
-		}
-		resp, err := c.forward(http.MethodPost, view.BaseURL, path, rawQuery, contentType, body)
-		if err != nil {
-			c.forwardErrors.Add(1)
-			c.workerDown(owner, "steal forward: "+err.Error())
-			continue
-		}
-		payload, _ := io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxBodyBytes))
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusAccepted:
-			var info colcache.JobInfo
-			if err := json.Unmarshal(payload, &info); err != nil || info.ID == "" {
-				c.stealFailures.Add(1)
-				c.failJob(j, "steal resubmission returned an undecodable 202")
-				return
-			}
+			c.pause(c.cfg.PeerTTL / 2)
+		case placeUnreachable:
+			// The owner is expired now; the next attempt asks its successor.
+		case placeAccepted, placeCached:
 			j.mu.Lock()
-			j.node, j.workerID, j.stolen = owner, info.ID, true
+			j.node, j.workerID, j.stolen = p.owner, p.info.ID, true
 			j.mu.Unlock()
+			if p.outcome == placeCached {
+				// The successor's result cache already held the digest: the
+				// steal is instantly terminal.
+				c.adopt(j, p.owner, p.info.ID, &p.info)
+			}
 			c.steals.Add(1)
-			c.countRouted(owner)
-			c.cfg.Logf("fabric: job %s stolen to %s as %s", j.fabricID, owner, info.ID)
+			c.cfg.Logf("fabric: job %s stolen to %s as %s", j.fabricID, p.owner, p.info.ID)
 			return
-		case http.StatusOK:
-			// The successor's result cache already held the digest: the
-			// steal is instantly terminal.
-			var info colcache.JobInfo
-			if err := json.Unmarshal(payload, &info); err == nil && info.Cached {
-				info.ID = j.fabricID
-				info.Node = owner
-				info.Recovered = true
-				j.mu.Lock()
-				j.cached = &info
-				j.stolen, j.terminal = true, true
-				j.body = nil
-				j.mu.Unlock()
-				c.steals.Add(1)
-				c.cachedRelays.Add(1)
-				return
-			}
-			c.stealFailures.Add(1)
-			c.failJob(j, "steal resubmission returned an undecodable 200")
-			return
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		case placeShed:
 			// Successor overloaded or draining: honor Retry-After, bounded.
+			// The hint is in whole seconds, so any hint waits the 1s cap.
 			delay := 100 * time.Millisecond
-			if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && ra > 0 {
-				if d := time.Duration(ra) * time.Second; d < time.Second {
-					delay = d
-				} else {
-					delay = time.Second
-				}
+			if ra, err := strconv.Atoi(p.resp.Header.Get("Retry-After")); err == nil && ra > 0 {
+				delay = time.Second
 			}
-			select {
-			case <-c.stopc:
-				return
-			case <-time.After(delay):
-			}
+			c.pause(delay)
+		case placeUndecodable:
+			c.failJob(j, "steal resubmission returned an undecodable 202")
+			return
 		default:
-			c.stealFailures.Add(1)
-			c.failJob(j, fmt.Sprintf("steal resubmission rejected: HTTP %d: %s", resp.StatusCode, payload))
+			c.failJob(j, fmt.Sprintf("steal resubmission rejected: HTTP %d: %s", p.resp.StatusCode, p.payload))
 			return
 		}
 	}
-	c.stealFailures.Add(1)
 	c.failJob(j, "no live worker could take the stolen job")
 }
 
+// pause waits d, or less if the coordinator is closing.
+func (c *Coordinator) pause(d time.Duration) {
+	select {
+	case <-c.stopc:
+	case <-time.After(d):
+	}
+}
+
+// failJob ends a job no live worker could take: a steal failure.
 func (c *Coordinator) failJob(j *routedJob, msg string) {
+	c.stealFailures.Add(1)
 	j.mu.Lock()
 	j.terminal = true
 	j.failMsg = msg
@@ -435,42 +377,202 @@ func (c *Coordinator) failJob(j *routedJob, msg string) {
 	c.cfg.Logf("fabric: job %s lost: %s", j.fabricID, msg)
 }
 
+// --- the forward path ----------------------------------------------------------
+
+// hop is one request from the coordinator to a worker.
+type hop struct {
+	method, path, query string
+	contentType         string
+	ifNoneMatch         string
+	body                []byte
+	// stream, when set, makes the call an open-ended relay bounded by this
+	// (subscriber's) context instead of forwardTimeout; a 200 answer's
+	// body is then left open for the caller to copy and close.
+	stream context.Context
+}
+
+// errNoLease answers a call to a worker whose lease has expired (or that
+// never joined): the coordinator does not dial it.
+var errNoLease = errors.New("fabric: no live worker")
+
+// call is the coordinator's one hop to a worker: the only place a worker
+// request is built, a worker's answer is read, and a failed dial is
+// counted. A transport error expires the worker on the spot — the proxy
+// path is the failure detector's fastest edge. The answer is read under
+// MaxBodyBytes and closed, except a streaming call's 200.
+func (c *Coordinator) call(node string, h hop) (*http.Response, []byte, error) {
+	view, known := c.reg.Get(node)
+	if !known || !view.Alive {
+		return nil, nil, errNoLease
+	}
+	ctx := h.stream
+	if ctx == nil {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(context.Background(), forwardTimeout)
+		defer cancel()
+	}
+	url := view.BaseURL + h.path
+	if h.query != "" {
+		url += "?" + h.query
+	}
+	var body io.Reader
+	if h.body != nil {
+		body = bytes.NewReader(h.body)
+	}
+	var resp *http.Response
+	req, err := http.NewRequestWithContext(ctx, h.method, url, body)
+	if err == nil {
+		if h.contentType != "" {
+			req.Header.Set("Content-Type", h.contentType)
+		}
+		if h.ifNoneMatch != "" {
+			req.Header.Set("If-None-Match", h.ifNoneMatch)
+		}
+		resp, err = c.client.Do(req)
+	}
+	if err != nil {
+		c.forwardErrors.Add(1)
+		c.workerDown(node, fmt.Sprintf("%s %s: %v", h.method, h.path, err))
+		return nil, nil, err
+	}
+	if h.stream != nil && resp.StatusCode == http.StatusOK {
+		return resp, nil, nil
+	}
+	payload, _ := io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxBodyBytes))
+	resp.Body.Close()
+	return resp, payload, nil
+}
+
+// relay writes a worker's answer back to the client verbatim: status,
+// body and the headers a client acts on.
+func relay(w http.ResponseWriter, resp *http.Response, payload []byte) {
+	for _, h := range []string{"Retry-After", "Cache-Control", "ETag"} {
+		if v := resp.Header.Get(h); v != "" {
+			w.Header().Set(h, v)
+		}
+	}
+	ct := resp.Header.Get("Content-Type")
+	if ct == "" {
+		ct = "application/json"
+	}
+	w.Header().Set("Content-Type", ct)
+	w.WriteHeader(resp.StatusCode)
+	w.Write(payload)
+}
+
+// writeUnreachable answers a relay whose worker call failed: 404 when the
+// job has no live assignment, 502 when the dial itself failed.
+func writeUnreachable(w http.ResponseWriter, id string, err error) {
+	if errors.Is(err, errNoLease) {
+		writeJSON(w, http.StatusNotFound, colcache.APIError{Error: fmt.Sprintf("no live assignment for job %q", id)})
+		return
+	}
+	writeJSON(w, http.StatusBadGateway, colcache.APIError{Error: "worker unreachable: " + err.Error()})
+}
+
+// adopt stamps a worker's document for j's assignment (node, workerID)
+// with the fabric's view: the fabric ID, the node, whether the job was
+// stolen, and its digest. A terminal answer for the still-current
+// assignment retires the route — the body is dropped and the document
+// kept, so later polls are answered locally (the worker may be gone by
+// then). A steal may have re-placed the job meanwhile; only the current
+// assignment's terminal answer counts.
+func (c *Coordinator) adopt(j *routedJob, node, workerID string, info *colcache.JobInfo) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	info.ID, info.Node, info.Recovered = j.fabricID, node, j.stolen
+	if info.Digest == "" {
+		info.Digest = j.digest
+	}
+	switch info.State {
+	case colcache.StateDone, colcache.StateFailed, colcache.StateCanceled:
+		if j.node == node && j.workerID == workerID && !j.terminal {
+			j.terminal, j.body = true, nil
+			doc := *info
+			j.cached = &doc
+		}
+	}
+}
+
+// placement is the outcome of one attempt to place a submission.
+type placement struct {
+	outcome placeOutcome
+	owner   string
+	info    colcache.JobInfo // accepted: the worker's job; cached: the terminal document
+	resp    *http.Response   // the worker's answer, when one arrived
+	payload []byte
+}
+
+type placeOutcome int
+
+const (
+	placeNoWorker    placeOutcome = iota // no live worker owns the digest
+	placeUnreachable                     // the owner's dial failed; it is expired now
+	placeAccepted                        // 202 naming the worker's job
+	placeUndecodable                     // 202 without a job document
+	placeCached                          // 200 with a cached terminal document
+	placeShed                            // 429 or 503: retry after Retry-After
+	placeRejected                        // any other answer
+)
+
+// place is the one placement step of submit and steal: pick the digest's
+// live ring owner, POST the retained submission to it, and classify the
+// answer. Accepted and cached answers are counted and stamped with the
+// owner and digest; what a shed or rejection means is the caller's call.
+func (c *Coordinator) place(sub submission) placement {
+	owner, ok := c.pickOwner(sub.digest)
+	if !ok {
+		return placement{outcome: placeNoWorker}
+	}
+	p := placement{owner: owner}
+	var err error
+	p.resp, p.payload, err = c.call(owner, hop{
+		method: http.MethodPost, path: sub.path, query: sub.rawQuery,
+		contentType: sub.contentType, body: sub.body,
+	})
+	if err != nil {
+		p.outcome = placeUnreachable
+		return p
+	}
+	switch p.resp.StatusCode {
+	case http.StatusAccepted:
+		p.outcome = placeUndecodable
+		if json.Unmarshal(p.payload, &p.info) == nil && p.info.ID != "" {
+			p.outcome = placeAccepted
+			c.countRouted(owner)
+		}
+	case http.StatusOK:
+		p.outcome = placeRejected
+		if json.Unmarshal(p.payload, &p.info) == nil && p.info.Cached {
+			p.outcome = placeCached
+			c.cachedRelays.Add(1)
+		}
+	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		p.outcome = placeShed
+	default:
+		p.outcome = placeRejected
+	}
+	p.info.Node = owner
+	if p.info.Digest == "" {
+		p.info.Digest = sub.digest
+	}
+	return p
+}
+
 // pickOwner resolves the digest's ring owner to a live worker, pruning
 // members the registry no longer believes in.
-func (c *Coordinator) pickOwner(digest string) (string, NodeView, bool) {
+func (c *Coordinator) pickOwner(digest string) (string, bool) {
 	for i := 0; i < 8; i++ {
 		owner, ok := c.ring.Owner(digest)
 		if !ok {
-			return "", NodeView{}, false
+			return "", false
 		}
-		view, known := c.reg.Get(owner)
-		if known && view.Alive {
-			return owner, view, true
+		if view, known := c.reg.Get(owner); known && view.Alive {
+			return owner, true
 		}
 		c.ring.Remove(owner)
 	}
-	return "", NodeView{}, false
-}
-
-// forward issues one proxied request.
-func (c *Coordinator) forward(method, baseURL, path, rawQuery, contentType string, body []byte) (*http.Response, error) {
-	url := baseURL + path
-	if rawQuery != "" {
-		url += "?" + rawQuery
-	}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, url, rd)
-	if err != nil {
-		return nil, err
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	req.Header.Set("X-Colcache-Fabric", "coordinator")
-	return c.client.Do(req)
+	return "", false
 }
 
 func (c *Coordinator) countRouted(node string) {
@@ -570,104 +672,64 @@ func digestOf(path string, r *http.Request, body []byte) (digest, kind string, e
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
 	if err != nil {
-		writeJSON(w, http.StatusRequestEntityTooLarge, colcache.APIError{Error: "body too large or unreadable"})
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, colcache.APIError{Error: "request body too large"})
+		} else {
+			writeJSON(w, http.StatusBadRequest, colcache.APIError{Error: "unreadable body: " + err.Error()})
+		}
 		return
 	}
-	path := "/v1/simulate"
+	sub := submission{path: "/v1/simulate", rawQuery: r.URL.RawQuery, contentType: r.Header.Get("Content-Type"), body: body}
 	if r.URL.Path == "/v1/sweep" {
-		path = "/v1/sweep"
+		sub.path = "/v1/sweep"
 	}
-	digest, kind, err := digestOf(path, r, body)
-	if err != nil {
+	if sub.digest, sub.kind, err = digestOf(sub.path, r, body); err != nil {
 		writeJSON(w, http.StatusBadRequest, colcache.APIError{Error: err.Error()})
 		return
 	}
 
-	// Route to the digest's owner; a connection error expires the owner
+	// Place with the digest's owner; a connection error expires the owner
 	// on the spot and retries the next one — the submission itself is the
 	// failure detector's fastest path.
 	for attempt := 0; attempt < 8; attempt++ {
-		owner, view, ok := c.pickOwner(digest)
-		if !ok {
+		p := c.place(sub)
+		switch p.outcome {
+		case placeNoWorker:
 			writeShed(w, http.StatusServiceUnavailable, 1, "no live workers in the fabric")
-			return
-		}
-		resp, err := c.forward(http.MethodPost, view.BaseURL, path, r.URL.RawQuery, r.Header.Get("Content-Type"), body)
-		if err != nil {
-			c.forwardErrors.Add(1)
-			c.workerDown(owner, "submit forward: "+err.Error())
+		case placeUnreachable:
 			continue
-		}
-		payload, _ := io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxBodyBytes))
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusAccepted:
-			var info colcache.JobInfo
-			if err := json.Unmarshal(payload, &info); err != nil || info.ID == "" {
-				writeJSON(w, http.StatusBadGateway, colcache.APIError{Error: "worker returned an undecodable 202"})
-				return
-			}
-			j := c.registerJob(digest, kind, path, r.URL.RawQuery, r.Header.Get("Content-Type"), body, owner, info.ID)
-			c.countRouted(owner)
-			info.ID = j.fabricID
-			info.Node = owner
-			if info.Digest == "" {
-				info.Digest = digest
-			}
+		case placeAccepted:
+			j := c.registerJob(sub, p.owner, p.info.ID)
+			p.info.ID = j.fabricID
 			w.Header().Set("Location", "/v1/jobs/"+j.fabricID)
-			writeJSON(w, http.StatusAccepted, info)
-			return
-		case http.StatusOK:
+			writeJSON(w, http.StatusAccepted, p.info)
+		case placeUndecodable:
+			writeJSON(w, http.StatusBadGateway, colcache.APIError{Error: "worker returned an undecodable 202"})
+		case placeCached:
 			// Warm result cache on the owner: relay the terminal document.
-			var info colcache.JobInfo
-			if err := json.Unmarshal(payload, &info); err == nil && info.Cached {
-				c.cachedRelays.Add(1)
-				info.Node = owner
-				if info.Digest == "" {
-					info.Digest = digest
-				}
-				writeJSON(w, http.StatusOK, info)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			w.Write(payload)
-			return
+			writeJSON(w, http.StatusOK, p.info)
 		default:
 			// Backpressure and validation answers relay verbatim — the
 			// client's retry contract is the same as against one daemon.
-			if ra := resp.Header.Get("Retry-After"); ra != "" {
-				w.Header().Set("Retry-After", ra)
-			}
-			ct := resp.Header.Get("Content-Type")
-			if ct == "" {
-				ct = "application/json"
-			}
-			w.Header().Set("Content-Type", ct)
-			w.WriteHeader(resp.StatusCode)
-			w.Write(payload)
-			return
+			relay(w, p.resp, p.payload)
 		}
+		return
 	}
 	writeShed(w, http.StatusServiceUnavailable, 1, "no worker accepted the submission")
 }
 
-// registerJob records a forwarded submission under a fresh fabric ID.
-func (c *Coordinator) registerJob(digest, kind, path, rawQuery, contentType string, body []byte, node, workerID string) *routedJob {
+// registerJob records a placed submission under a fresh fabric ID.
+func (c *Coordinator) registerJob(sub submission, node, workerID string) *routedJob {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.seq++
 	j := &routedJob{
-		fabricID:    fmt.Sprintf("f%08d", c.seq),
-		digest:      digest,
-		kind:        kind,
-		path:        path,
-		rawQuery:    rawQuery,
-		contentType: contentType,
-		body:        body,
-		node:        node,
-		workerID:    workerID,
-		accepted:    time.Now(),
+		fabricID:   fmt.Sprintf("f%08d", c.seq),
+		accepted:   time.Now(),
+		submission: sub,
+		node:       node,
+		workerID:   workerID,
 	}
 	c.jobs[j.fabricID] = j
 	c.order = append(c.order, j.fabricID)
@@ -702,116 +764,75 @@ func (c *Coordinator) evictLocked() {
 	c.order = kept
 }
 
+// job looks up a route by fabric ID (nil when unknown).
+func (c *Coordinator) job(id string) *routedJob {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.jobs[id]
+}
+
+// assignment is the job's current placement: the node and the worker's
+// job ID. A nil (unknown) job has none, and no live worker is named "".
+func (j *routedJob) assignment() (node, workerID string) {
+	if j == nil {
+		return "", ""
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.node, j.workerID
+}
+
 func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	c.mu.Lock()
-	j, ok := c.jobs[id]
-	c.mu.Unlock()
-	if !ok {
+	j := c.job(id)
+	if j == nil {
 		writeJSON(w, http.StatusNotFound, colcache.APIError{Error: fmt.Sprintf("no such job %q", id)})
 		return
 	}
 	j.mu.Lock()
-	node, workerID, stolen, digest, kind := j.node, j.workerID, j.stolen, j.digest, j.kind
-	cached, failMsg := j.cached, j.failMsg
+	cached, workerID := j.cached, j.workerID
+	doc := colcache.JobInfo{
+		ID: id, Kind: j.kind, State: colcache.StateQueued, Digest: j.digest,
+		Node: j.node, Recovered: j.stolen, Error: j.failMsg, SubmittedAt: j.accepted,
+	}
 	j.mu.Unlock()
-
 	if cached != nil {
 		writeJSON(w, http.StatusOK, *cached)
 		return
 	}
-	if failMsg != "" {
-		writeJSON(w, http.StatusOK, colcache.JobInfo{
-			ID: id, Kind: kind, State: colcache.StateFailed, Digest: digest,
-			Node: node, Recovered: stolen, Error: failMsg, SubmittedAt: j.accepted,
-		})
+	if doc.Error != "" {
+		doc.State = colcache.StateFailed
+		writeJSON(w, http.StatusOK, doc)
 		return
 	}
-
-	view, known := c.reg.Get(node)
-	var info colcache.JobInfo
-	relayed := false
-	if known {
-		resp, err := c.forward(http.MethodGet, view.BaseURL, "/v1/jobs/"+workerID, "", "", nil)
-		if err != nil {
-			c.forwardErrors.Add(1)
-			c.workerDown(node, "poll forward: "+err.Error())
-		} else {
-			payload, _ := io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxBodyBytes))
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK && json.Unmarshal(payload, &info) == nil {
-				relayed = true
-			} else if resp.StatusCode == http.StatusNotFound {
-				// The worker no longer knows the job (restarted over fresh
-				// state, or evicted it): the assignment is lost even though
-				// the node is alive — re-place the job from the retained
-				// body, exactly like a steal.
-				j.mu.Lock()
-				replace := !j.terminal && !j.stealing && j.workerID == workerID
-				if replace {
-					j.stealing = true
-				}
-				j.mu.Unlock()
-				if replace {
-					c.wg.Add(1)
-					go func() {
-						defer c.wg.Done()
-						c.stealJob(j)
-					}()
-				}
-			}
-		}
-	}
-	if !relayed {
-		// The assignment is unreachable (worker just died, or its store
-		// evicted the job). The route survives: answer queued so the
-		// client keeps polling while the steal loop re-places the job.
-		writeJSON(w, http.StatusOK, colcache.JobInfo{
-			ID: id, Kind: kind, State: colcache.StateQueued, Digest: digest,
-			Node: node, Recovered: stolen, SubmittedAt: j.accepted,
-		})
+	info, status := c.refresh(j, doc.Node, workerID)
+	if info != nil {
+		writeJSON(w, http.StatusOK, *info)
 		return
 	}
-	info.ID = id
-	info.Node = node
-	info.Recovered = stolen
-	if info.Digest == "" {
-		info.Digest = digest
-	}
-	switch info.State {
-	case colcache.StateDone, colcache.StateFailed, colcache.StateCanceled:
+	if status == http.StatusNotFound {
+		// The worker no longer knows the job (restarted over fresh state,
+		// or evicted it): the assignment is lost even though the node is
+		// alive — re-place the job from the retained body, exactly like a
+		// steal.
 		j.mu.Lock()
-		// A steal may have re-placed the job between the snapshot above
-		// and now; only the current assignment's terminal answer counts.
-		// The terminal document is retained so later polls are answered
-		// locally — the worker may be gone by then.
-		if j.node == node && j.workerID == workerID && !j.terminal {
-			j.terminal = true
-			j.body = nil
-			doc := info
-			j.cached = &doc
+		replace := !j.terminal && !j.stealing && j.workerID == workerID
+		if replace {
+			j.stealing = true
 		}
 		j.mu.Unlock()
+		if replace {
+			c.wg.Add(1)
+			go func() {
+				defer c.wg.Done()
+				c.stealJob(j)
+			}()
+		}
 	}
-	writeJSON(w, http.StatusOK, info)
-}
-
-// assignment resolves a fabric job ID to its current worker placement.
-func (c *Coordinator) assignment(id string) (node, workerID string, view NodeView, ok bool) {
-	c.mu.Lock()
-	j, known := c.jobs[id]
-	c.mu.Unlock()
-	if !known {
-		return "", "", NodeView{}, false
-	}
-	j.mu.Lock()
-	node, workerID = j.node, j.workerID
-	j.mu.Unlock()
-	view, alive := c.reg.Get(node)
-	if !alive {
-		return "", "", NodeView{}, false
-	}
-	return node, workerID, view, true
+	// The assignment is unreachable (worker just died, or its store
+	// evicted the job). The route survives: answer queued so the client
+	// keeps polling while the steal loop re-places the job.
+	writeJSON(w, http.StatusOK, doc)
 }
 
 // handleInspectStream relays a live SSE inspection stream from the job's
@@ -821,41 +842,22 @@ func (c *Coordinator) assignment(id string) (node, workerID string, view NodeVie
 // steal loop re-places the job.
 func (c *Coordinator) handleInspectStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	node, workerID, view, ok := c.assignment(id)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, colcache.APIError{Error: fmt.Sprintf("no live assignment for job %q", id)})
-		return
-	}
 	fl, canFlush := w.(http.Flusher)
 	if !canFlush {
 		writeJSON(w, http.StatusInternalServerError, colcache.APIError{Error: "relay writer cannot stream"})
 		return
 	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, view.BaseURL+"/v1/jobs/"+workerID+"/inspect", nil)
+	node, workerID := c.job(id).assignment()
+	resp, payload, err := c.call(node, hop{method: http.MethodGet, path: "/v1/jobs/" + workerID + "/inspect", stream: r.Context()})
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, colcache.APIError{Error: err.Error()})
+		writeUnreachable(w, id, err)
 		return
 	}
-	req.Header.Set("X-Colcache-Fabric", "coordinator")
-	resp, err := c.stream.Do(req)
-	if err != nil {
-		c.forwardErrors.Add(1)
-		c.workerDown(node, "inspect forward: "+err.Error())
-		writeJSON(w, http.StatusBadGateway, colcache.APIError{Error: "worker unreachable: " + err.Error()})
+	if resp.StatusCode != http.StatusOK {
+		relay(w, resp, payload)
 		return
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		payload, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		ct := resp.Header.Get("Content-Type")
-		if ct == "" {
-			ct = "application/json"
-		}
-		w.Header().Set("Content-Type", ct)
-		w.WriteHeader(resp.StatusCode)
-		w.Write(payload)
-		return
-	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no")
@@ -880,35 +882,19 @@ func (c *Coordinator) handleInspectStream(w http.ResponseWriter, r *http.Request
 // owning worker, rewriting the document's job field to the fabric ID.
 func (c *Coordinator) handleInspectFrames(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	node, workerID, view, ok := c.assignment(id)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, colcache.APIError{Error: fmt.Sprintf("no live assignment for job %q", id)})
-		return
-	}
-	resp, err := c.forward(http.MethodGet, view.BaseURL, "/v1/jobs/"+workerID+"/inspect/frames", r.URL.RawQuery, "", nil)
+	node, workerID := c.job(id).assignment()
+	resp, payload, err := c.call(node, hop{method: http.MethodGet, path: "/v1/jobs/" + workerID + "/inspect/frames", query: r.URL.RawQuery})
 	if err != nil {
-		c.forwardErrors.Add(1)
-		c.workerDown(node, "inspect frames forward: "+err.Error())
-		writeJSON(w, http.StatusBadGateway, colcache.APIError{Error: "worker unreachable: " + err.Error()})
+		writeUnreachable(w, id, err)
 		return
 	}
-	payload, _ := io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxBodyBytes))
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		var doc colcache.InspectFrames
-		if json.Unmarshal(payload, &doc) == nil {
-			doc.Job = id
-			writeJSON(w, http.StatusOK, doc)
-			return
-		}
+	var doc colcache.InspectFrames
+	if resp.StatusCode == http.StatusOK && json.Unmarshal(payload, &doc) == nil {
+		doc.Job = id
+		writeJSON(w, http.StatusOK, doc)
+		return
 	}
-	ct := resp.Header.Get("Content-Type")
-	if ct == "" {
-		ct = "application/json"
-	}
-	w.Header().Set("Content-Type", ct)
-	w.WriteHeader(resp.StatusCode)
-	w.Write(payload)
+	relay(w, resp, payload)
 }
 
 func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -928,46 +914,11 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 // relay preserves both, so fabric reads are HTTP-cacheable end to end.
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
-	tried := map[string]bool{}
-	for attempt := 0; attempt < 3; attempt++ {
-		var target string
-		for _, n := range c.ring.Successors(digest, 3) {
-			if !tried[n] {
-				target = n
-				break
-			}
-		}
-		if target == "" {
-			break
-		}
-		tried[target] = true
-		view, known := c.reg.Get(target)
-		if !known || !view.Alive {
-			continue
-		}
-		req, err := http.NewRequest(http.MethodGet, view.BaseURL+"/v1/results/"+digest, nil)
-		if err != nil {
-			continue
-		}
-		if inm := r.Header.Get("If-None-Match"); inm != "" {
-			req.Header.Set("If-None-Match", inm)
-		}
-		resp, err := c.client.Do(req)
-		if err != nil {
-			c.forwardErrors.Add(1)
-			c.workerDown(target, "result forward: "+err.Error())
-			continue
-		}
-		payload, _ := io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxBodyBytes))
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified {
-			for _, h := range []string{"Content-Type", "Cache-Control", "ETag"} {
-				if v := resp.Header.Get(h); v != "" {
-					w.Header().Set(h, v)
-				}
-			}
-			w.WriteHeader(resp.StatusCode)
-			w.Write(payload)
+	h := hop{method: http.MethodGet, path: "/v1/results/" + digest, ifNoneMatch: r.Header.Get("If-None-Match")}
+	for _, node := range c.ring.Successors(digest, 3) {
+		resp, payload, err := c.call(node, h)
+		if err == nil && (resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified) {
+			relay(w, resp, payload)
 			return
 		}
 	}

@@ -742,3 +742,47 @@ func TestCoordinatorRetentionEvictsOldestTerminal(t *testing.T) {
 	expect(d, http.StatusOK, colcache.StateDone)
 	expect(e, http.StatusOK, colcache.StateRunning)
 }
+
+// TestCoordinatorInspectSkipsExpiredWorker: once a worker's lease has
+// expired, inspect relays answer 404 without dialling it, even while its
+// job still waits for a steal.
+func TestCoordinatorInspectSkipsExpiredWorker(t *testing.T) {
+	_, coordURL := startTestCoordinator(t, CoordinatorConfig{})
+	w1 := startTestWorker(t, coordURL, "w1", service.Config{})
+	waitAlive(t, coordURL, 1)
+	info := submitVia(t, coordURL, streamSpec(4096))
+	w1.kill()
+	waitAlive(t, coordURL, 0)
+
+	before := clusterViewOf(t, coordURL).ForwardErrors
+	for _, path := range []string{"/inspect", "/inspect/frames"} {
+		resp, err := http.Get(coordURL + "/v1/jobs/" + info.ID + path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s on an expired worker: HTTP %d, want 404", path, resp.StatusCode)
+		}
+	}
+	if after := clusterViewOf(t, coordURL).ForwardErrors; after != before {
+		t.Fatalf("inspect dialled the expired worker: forward_errors %d -> %d", before, after)
+	}
+}
+
+// TestCoordinatorOversizedSubmission: a body over MaxBodyBytes is 413,
+// the same answer a worker gives.
+func TestCoordinatorOversizedSubmission(t *testing.T) {
+	_, coordURL := startTestCoordinator(t, CoordinatorConfig{MaxBodyBytes: 1024})
+	spec := streamSpec(4096)
+	spec.Label = strings.Repeat("x", 4096)
+	body, _ := json.Marshal(spec)
+	resp, err := http.Post(coordURL+"/v1/simulate", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submission: HTTP %d, want 413", resp.StatusCode)
+	}
+}

@@ -117,7 +117,9 @@ func (g *Registry) Sweep(now time.Time) []string {
 	return dead
 }
 
-// Get returns a live view of one worker.
+// Get returns the current view of one worker. The bool reports whether
+// the name is known at all — alive or expired; callers that would dial
+// the worker must also check NodeView.Alive.
 func (g *Registry) Get(name string) (NodeView, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -561,6 +561,16 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// bodyErrorStatus is the answer to a submission body that failed to
+// decode: 413 when it overran MaxBodyBytes, 400 for anything else.
+func bodyErrorStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, colcache.APIError{Error: fmt.Sprintf(format, args...)})
 }
@@ -636,7 +646,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		}
 		tr, err := memtrace.ReadBinaryLimit(r.Body, s.cfg.Limits.MaxTraceAccesses)
 		if err != nil {
-			code := http.StatusBadRequest
+			code := bodyErrorStatus(err)
 			if errors.Is(err, memtrace.ErrTraceTooLarge) {
 				code = http.StatusRequestEntityTooLarge
 			}
@@ -660,7 +670,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 
 	var spec colcache.SimSpec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
+		writeError(w, bodyErrorStatus(err), "bad JSON: %v", err)
 		return
 	}
 	if err := ValidateSim(spec, false, s.cfg.Limits); err != nil {
@@ -718,7 +728,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var spec colcache.SweepSpec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
+		writeError(w, bodyErrorStatus(err), "bad JSON: %v", err)
 		return
 	}
 	points, err := expandSweep(spec, s.cfg.MaxSweepPoints)

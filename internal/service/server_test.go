@@ -171,22 +171,46 @@ func TestTraceUpload(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage upload: HTTP %d, want 400", resp.StatusCode)
 	}
+}
 
-	// Oversized upload: distinct 413.
-	big := make(memtrace.Trace, 64)
-	buf.Reset()
-	memtrace.WriteBinary(&buf, big)
-	srv2 := New(Config{Workers: 1, QueueDepth: 4, Limits: Limits{MaxTraceAccesses: 16}})
-	defer srv2.Drain(context.Background())
-	ts2 := httptest.NewServer(srv2.Handler())
-	defer ts2.Close()
-	resp, err = ts2.Client().Post(ts2.URL+"/v1/simulate", "application/octet-stream", &buf)
-	if err != nil {
-		t.Fatal(err)
+// TestOversizedSubmissions: every submission kind answers 413 when its
+// body overruns MaxBodyBytes, and an upload answers 413 when it overruns
+// the record cap — never a 400 that blames the client's encoding.
+func TestOversizedSubmissions(t *testing.T) {
+	big := tinySpec(strings.Repeat("x", 4096))
+	bigJSON, _ := json.Marshal(big)
+	bigSweep, _ := json.Marshal(colcache.SweepSpec{Label: big.Label, Base: big})
+	var bigTrace bytes.Buffer
+	memtrace.WriteBinary(&bigTrace, make(memtrace.Trace, 1024))
+	var cappedTrace bytes.Buffer
+	memtrace.WriteBinary(&cappedTrace, make(memtrace.Trace, 64))
+
+	cases := []struct {
+		name, path, ctype string
+		body              []byte
+		cfg               Config
+	}{
+		{"simulate JSON over byte cap", "/v1/simulate", "application/json", bigJSON, Config{MaxBodyBytes: 1024}},
+		{"sweep over byte cap", "/v1/sweep", "application/json", bigSweep, Config{MaxBodyBytes: 1024}},
+		{"upload over byte cap", "/v1/simulate", "application/octet-stream", bigTrace.Bytes(), Config{MaxBodyBytes: 1024}},
+		{"upload over record cap", "/v1/simulate", "application/octet-stream", cappedTrace.Bytes(), Config{Limits: Limits{MaxTraceAccesses: 16}}},
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized upload: HTTP %d, want 413", resp.StatusCode)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Workers, tc.cfg.QueueDepth = 1, 4
+			srv := New(tc.cfg)
+			defer srv.Drain(context.Background())
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			resp, err := ts.Client().Post(ts.URL+tc.path, tc.ctype, bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("HTTP %d, want 413", resp.StatusCode)
+			}
+		})
 	}
 }
 
