@@ -571,7 +571,8 @@ func (s *scriptedWorker) finish(ids ...string) {
 
 // TestCoordinatorReconcilesUnpolledRoutes: a job nobody polls is retired
 // by the background reconciler, and its terminal document stays
-// answerable after the worker is gone.
+// answerable after the worker is gone. Inspect relays for it answer 404
+// once the worker's lease has expired, without dialling the dead worker.
 func TestCoordinatorReconcilesUnpolledRoutes(t *testing.T) {
 	_, coordURL := startTestCoordinator(t, CoordinatorConfig{})
 	w1 := startTestWorker(t, coordURL, "w1", service.Config{})
@@ -590,6 +591,22 @@ func TestCoordinatorReconcilesUnpolledRoutes(t *testing.T) {
 	}
 	if final.Digest != info.Digest || final.Result == nil {
 		t.Fatalf("reconciled document lost digest or result: %+v", final)
+	}
+
+	waitAlive(t, coordURL, 0)
+	before := clusterViewOf(t, coordURL).ForwardErrors
+	for _, path := range []string{"/inspect", "/inspect/frames"} {
+		resp, err := http.Get(coordURL + "/v1/jobs/" + info.ID + path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s on an expired worker: HTTP %d, want 404", path, resp.StatusCode)
+		}
+	}
+	if after := clusterViewOf(t, coordURL).ForwardErrors; after != before {
+		t.Fatalf("inspect dialled the expired worker: forward_errors %d -> %d", before, after)
 	}
 }
 
@@ -741,33 +758,6 @@ func TestCoordinatorRetentionEvictsOldestTerminal(t *testing.T) {
 	expect(c, http.StatusNotFound, "")
 	expect(d, http.StatusOK, colcache.StateDone)
 	expect(e, http.StatusOK, colcache.StateRunning)
-}
-
-// TestCoordinatorInspectSkipsExpiredWorker: once a worker's lease has
-// expired, inspect relays answer 404 without dialling it, even while its
-// job still waits for a steal.
-func TestCoordinatorInspectSkipsExpiredWorker(t *testing.T) {
-	_, coordURL := startTestCoordinator(t, CoordinatorConfig{})
-	w1 := startTestWorker(t, coordURL, "w1", service.Config{})
-	waitAlive(t, coordURL, 1)
-	info := submitVia(t, coordURL, streamSpec(4096))
-	w1.kill()
-	waitAlive(t, coordURL, 0)
-
-	before := clusterViewOf(t, coordURL).ForwardErrors
-	for _, path := range []string{"/inspect", "/inspect/frames"} {
-		resp, err := http.Get(coordURL + "/v1/jobs/" + info.ID + path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("%s on an expired worker: HTTP %d, want 404", path, resp.StatusCode)
-		}
-	}
-	if after := clusterViewOf(t, coordURL).ForwardErrors; after != before {
-		t.Fatalf("inspect dialled the expired worker: forward_errors %d -> %d", before, after)
-	}
 }
 
 // TestCoordinatorOversizedSubmission: a body over MaxBodyBytes is 413,
