@@ -279,9 +279,10 @@ watch:
 	printf 'r\nq\n' | /tmp/colwatch -server http://$(WATCH_ADDR) -job $$id -replay > /dev/null; \
 	echo "watch: SSE frames, time travel, and colwatch replay OK"
 
-# Coverage gate: the column-cache core packages plus the durability layer
+# Coverage gate: the column-cache core packages (cache, replacement, tint,
+# the TLB in vm) plus the durability layer
 # (WAL + result cache) must stay at or above 85% statement coverage.
-COVER_PKGS = colcache/internal/cache colcache/internal/replacement colcache/internal/tint colcache/internal/wal colcache/internal/resultcache
+COVER_PKGS = colcache/internal/cache colcache/internal/replacement colcache/internal/tint colcache/internal/vm colcache/internal/wal colcache/internal/resultcache
 cover:
 	@$(GO) test -cover $(COVER_PKGS) | awk ' \
 		/coverage:/ { \
