@@ -61,8 +61,19 @@ type TLB struct {
 	cfg     TLBConfig
 	pt      *PageTable
 	pgShift uint // page-number shift, mirrored from the geometry
-	sets    [][]tlbEntry
+	numSets uint64
+	entries []tlbEntry // flat, slot = set*Ways + way
 	asid    uint16
+
+	// Exact (asid, page) → slot index, so a hit that misses the memo finds
+	// its entry without scanning the set. Open addressing with linear
+	// probing over a power-of-two table at most half full; a cell holds
+	// slot+1 (0 is empty) and the key is read from the entry it points at.
+	// Invariant: every valid entry has exactly one cell, and every non-empty
+	// cell points at a valid entry. install, FlushPage, FlushAll and Restore
+	// maintain it; SetASID needs nothing because the ASID is part of the key.
+	index     []uint32
+	indexBits uint
 
 	// Counter economy on the lookup path: clock advances once per Lookup, so
 	// Accesses is derived as clock-clockBase (clockBase snapshots clock at
@@ -83,8 +94,8 @@ type TLB struct {
 	// install in lookupSlow), and each of those either repoints or drops
 	// it, so memo non-nil implies memo is the live, valid entry for
 	// (memoPn, current ASID). The hit updates the entry's recency stamp
-	// exactly like the scan path. (Sets are allocated once in NewTLB and
-	// never reallocated, so the pointer stays valid for the TLB's
+	// exactly like the indexed path. (Entries are allocated once in NewTLB
+	// and never reallocated, so the pointer stays valid for the TLB's
 	// lifetime.)
 	memo   *tlbEntry
 	memoPn uint64
@@ -101,13 +112,16 @@ func NewTLB(cfg TLBConfig, pt *PageTable) (*TLB, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	t := &TLB{cfg: cfg, pt: pt, pgShift: memory.Log2(pt.g.PageBytes)}
-	numSets := cfg.Entries / cfg.Ways
-	t.sets = make([][]tlbEntry, numSets)
-	for i := range t.sets {
-		t.sets[i] = make([]tlbEntry, cfg.Ways)
-	}
-	return t, nil
+	bits := memory.Log2(cfg.Entries) + 1
+	return &TLB{
+		cfg:       cfg,
+		pt:        pt,
+		pgShift:   memory.Log2(pt.g.PageBytes),
+		numSets:   uint64(cfg.Entries / cfg.Ways),
+		entries:   make([]tlbEntry, cfg.Entries),
+		index:     make([]uint32, 1<<bits),
+		indexBits: bits,
+	}, nil
 }
 
 // MustNewTLB is NewTLB that panics on error.
@@ -137,7 +151,63 @@ func (t *TLB) ResetStats() {
 	t.flushes = 0
 }
 
-func (t *TLB) setOf(pn uint64) int { return int(pn % uint64(len(t.sets))) }
+// set returns the ways of page pn's set and the slot of its first way.
+func (t *TLB) set(pn uint64) ([]tlbEntry, int) {
+	base := int(pn%t.numSets) * t.cfg.Ways
+	return t.entries[base : base+t.cfg.Ways], base
+}
+
+// home is the index cell a key hashes to (Fibonacci hashing).
+func (t *TLB) home(asid uint16, pn uint64) uint64 {
+	return ((pn ^ uint64(asid)<<48) * 0x9E3779B97F4A7C15) >> (64 - t.indexBits)
+}
+
+// find returns the slot of the valid entry for (asid, pn), or -1.
+func (t *TLB) find(asid uint16, pn uint64) int {
+	mask := uint64(len(t.index) - 1)
+	for i := t.home(asid, pn); ; i = (i + 1) & mask {
+		c := t.index[i]
+		if c == 0 {
+			return -1
+		}
+		if e := &t.entries[c-1]; e.pn == pn && e.asid == asid {
+			return int(c - 1)
+		}
+	}
+}
+
+// indexSlot adds the valid entry at slot to the index.
+func (t *TLB) indexSlot(slot int) {
+	e := &t.entries[slot]
+	mask := uint64(len(t.index) - 1)
+	i := t.home(e.asid, e.pn)
+	for t.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t.index[i] = uint32(slot + 1)
+}
+
+// unindexSlot removes the entry at slot, still holding its key, from the
+// index, shifting later cells of the probe run back so no lookup stops
+// short at the hole.
+func (t *TLB) unindexSlot(slot int) {
+	e := &t.entries[slot]
+	mask := uint64(len(t.index) - 1)
+	hole := t.home(e.asid, e.pn)
+	for t.index[hole] != uint32(slot+1) {
+		hole = (hole + 1) & mask
+	}
+	for i := (hole + 1) & mask; t.index[i] != 0; i = (i + 1) & mask {
+		m := &t.entries[t.index[i]-1]
+		// A cell may fill the hole unless its home lies cyclically in
+		// (hole, i]: moving it before its home would hide it.
+		if (i-t.home(m.asid, m.pn))&mask >= (i-hole)&mask {
+			t.index[hole] = t.index[i]
+			hole = i
+		}
+	}
+	t.index[hole] = 0
+}
 
 // Lookup returns the PTE for the page containing addr and whether it was a
 // TLB hit. On a miss the entry is walked from the page table and installed.
@@ -155,18 +225,16 @@ func (t *TLB) Lookup(addr memory.Addr) (PTE, bool) {
 
 func (t *TLB) lookupSlow(pn uint64) (PTE, bool) {
 	t.clock++
-	setIdx := t.setOf(pn)
-	set := t.sets[setIdx]
-	for i := range set {
-		if set[i].valid && set[i].pn == pn && set[i].asid == t.asid {
-			set[i].stamp = t.clock
-			t.memo, t.memoPn = &set[i], pn
-			return set[i].pte, true
-		}
+	if slot := t.find(t.asid, pn); slot >= 0 {
+		e := &t.entries[slot]
+		e.stamp = t.clock
+		t.memo, t.memoPn = e, pn
+		return e.pte, true
 	}
 	t.misses++
 	pte := t.pt.LookupPage(pn)
 	// Install, evicting LRU (or an invalid slot).
+	set, base := t.set(pn)
 	victim, best := 0, ^uint64(0)
 	for i := range set {
 		if !set[i].valid {
@@ -177,7 +245,11 @@ func (t *TLB) lookupSlow(pn uint64) (PTE, bool) {
 			victim, best = i, set[i].stamp
 		}
 	}
+	if set[victim].valid {
+		t.unindexSlot(base + victim)
+	}
 	set[victim] = tlbEntry{pn: pn, asid: t.asid, pte: pte, valid: true, stamp: t.clock}
+	t.indexSlot(base + victim)
 	t.memo, t.memoPn = &set[victim], pn
 	return pte, false
 }
@@ -205,10 +277,11 @@ func (t *TLB) ASID() uint16 { return t.asid }
 // from the reference model on ASID-switching scripts.)
 func (t *TLB) FlushPage(pn uint64) bool {
 	t.dropMemo()
-	set := t.sets[t.setOf(pn)]
+	set, base := t.set(pn)
 	any := false
 	for i := range set {
 		if set[i].valid && set[i].pn == pn {
+			t.unindexSlot(base + i)
 			set[i].valid = false
 			t.flushes++
 			any = true
@@ -220,19 +293,18 @@ func (t *TLB) FlushPage(pn uint64) bool {
 // FlushAll invalidates every entry, as on a context switch without ASIDs.
 func (t *TLB) FlushAll() {
 	t.dropMemo()
-	for s := range t.sets {
-		for i := range t.sets[s] {
-			t.sets[s][i].valid = false
-		}
+	for i := range t.entries {
+		t.entries[i].valid = false
 	}
+	clear(t.index)
 	t.flushes++
 }
 
 // TLBSnapshot is a detached copy of a TLB's mutable state — every entry plus
 // the ASID and the statistics counters. The epoch-parallel multicore stepper
 // snapshots each core's TLB at epoch boundaries so a conflicting epoch can be
-// rolled back; entries are flattened into one contiguous slice so the copy is
-// a single pass. The zero value is ready to be filled by TLB.Snapshot.
+// rolled back. The index is not copied: Restore rebuilds it from the
+// entries. The zero value is ready to be filled by TLB.Snapshot.
 type TLBSnapshot struct {
 	entries   []tlbEntry
 	asid      uint16
@@ -252,10 +324,7 @@ func (t *TLB) Snapshot(dst *TLBSnapshot) *TLBSnapshot {
 	if len(dst.entries) != t.cfg.Entries {
 		dst.entries = make([]tlbEntry, t.cfg.Entries)
 	}
-	i := 0
-	for _, set := range t.sets {
-		i += copy(dst.entries[i:], set)
-	}
+	copy(dst.entries, t.entries)
 	dst.asid = t.asid
 	dst.clock = t.clock
 	dst.clockBase = t.clockBase
@@ -265,15 +334,19 @@ func (t *TLB) Snapshot(dst *TLBSnapshot) *TLBSnapshot {
 }
 
 // Restore copies a snapshot taken from this TLB (same configuration) back
-// over the live state and drops the last-translation memo, which may point at
-// a slot the restore rewrote.
+// over the live state, rebuilds the index from the restored entries, and
+// drops the last-translation memo, which may point at a slot the restore
+// rewrote.
 func (t *TLB) Restore(s *TLBSnapshot) {
 	if len(s.entries) != t.cfg.Entries {
 		panic("vm: TLB Restore with a snapshot of a different shape")
 	}
-	i := 0
-	for _, set := range t.sets {
-		i += copy(set, s.entries[i:i+len(set)])
+	copy(t.entries, s.entries)
+	clear(t.index)
+	for i := range t.entries {
+		if t.entries[i].valid {
+			t.indexSlot(i)
+		}
 	}
 	t.asid = s.asid
 	t.clock = s.clock
@@ -285,7 +358,8 @@ func (t *TLB) Restore(s *TLBSnapshot) {
 
 // Resident reports whether page pn currently has a valid entry.
 func (t *TLB) Resident(pn uint64) bool {
-	for _, e := range t.sets[t.setOf(pn)] {
+	set, _ := t.set(pn)
+	for _, e := range set {
 		if e.valid && e.pn == pn {
 			return true
 		}

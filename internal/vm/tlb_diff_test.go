@@ -126,6 +126,36 @@ func (m *refTLB) restore(c *refTLB) {
 	m.tints = tints
 }
 
+// checkTLBIndex reports the first disagreement between the TLB's index and
+// its entries: a valid entry the index does not find at its own slot, or a
+// cell pointing at an invalid entry, or more cells than valid entries.
+func checkTLBIndex(tlb *TLB) error {
+	valid := 0
+	for slot, e := range tlb.entries {
+		if !e.valid {
+			continue
+		}
+		valid++
+		if got := tlb.find(e.asid, e.pn); got != slot {
+			return fmt.Errorf("index finds (asid %d, page %d) at slot %d, entry lives at %d", e.asid, e.pn, got, slot)
+		}
+	}
+	cells := 0
+	for i, c := range tlb.index {
+		if c == 0 {
+			continue
+		}
+		cells++
+		if int(c) > len(tlb.entries) || !tlb.entries[c-1].valid {
+			return fmt.Errorf("index cell %d points at slot %d, which holds no valid entry", i, int(c)-1)
+		}
+	}
+	if cells != valid {
+		return fmt.Errorf("index has %d cells for %d valid entries", cells, valid)
+	}
+	return nil
+}
+
 type tlbCheckpoint struct {
 	snap  *TLBSnapshot
 	model *refTLB
@@ -214,6 +244,9 @@ func runTLBScript(t *testing.T, cfg TLBConfig, seed int64, steps int) {
 		}
 		if got, want := tlb.Stats(), model.stats(); got != want {
 			t.Fatalf("step %d after %s: stats %+v, model %+v", step, op, got, want)
+		}
+		if err := checkTLBIndex(tlb); err != nil {
+			t.Fatalf("step %d after %s: %v", step, op, err)
 		}
 	}
 }
