@@ -398,7 +398,8 @@ var errNoLease = errors.New("fabric: no live worker")
 // call is the coordinator's one hop to a worker: the only place a worker
 // request is built, a worker's answer is read, and a failed dial is
 // counted. A transport error expires the worker on the spot — the proxy
-// path is the failure detector's fastest edge. The answer is read under
+// path is the failure detector's fastest edge — unless a streaming call's
+// own subscriber went away first. The answer is read under
 // MaxBodyBytes and closed, except a streaming call's 200.
 func (c *Coordinator) call(node string, h hop) (*http.Response, []byte, error) {
 	view, known := c.reg.Get(node)
@@ -431,6 +432,9 @@ func (c *Coordinator) call(node string, h hop) (*http.Response, []byte, error) {
 		resp, err = c.client.Do(req)
 	}
 	if err != nil {
+		if h.stream != nil && h.stream.Err() != nil {
+			return nil, nil, err // the subscriber hung up, not the worker
+		}
 		c.forwardErrors.Add(1)
 		c.workerDown(node, fmt.Sprintf("%s %s: %v", h.method, h.path, err))
 		return nil, nil, err

@@ -776,3 +776,70 @@ func TestCoordinatorOversizedSubmission(t *testing.T) {
 		t.Fatalf("oversized submission: HTTP %d, want 413", resp.StatusCode)
 	}
 }
+
+// TestCoordinatorInspectHangupSparesWorker: an SSE subscriber that hangs up
+// before the worker has sent its headers ends the relay, but the cancelled
+// dial is the subscriber's doing: the worker is neither counted as a
+// forward error nor expired.
+func TestCoordinatorInspectHangupSparesWorker(t *testing.T) {
+	coord := NewCoordinator(CoordinatorConfig{PeerTTL: 10 * time.Second, Logf: t.Logf})
+	api := coord.Handler()
+	relayDone := make(chan struct{}, 1)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		api.ServeHTTP(w, r)
+		if strings.HasSuffix(r.URL.Path, "/inspect") {
+			relayDone <- struct{}{}
+		}
+	}))
+	t.Cleanup(func() {
+		hs.Close()
+		coord.Close()
+	})
+	coordURL := hs.URL
+
+	sw := &scriptedWorker{states: map[string]string{}}
+	inspectSeen := make(chan struct{}, 1)
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/inspect") {
+			inspectSeen <- struct{}{}
+			<-r.Context().Done() // no headers until the coordinator hangs up
+			return
+		}
+		sw.ServeHTTP(w, r)
+	}))
+	t.Cleanup(worker.Close)
+	heartbeatOnce(t, coordURL, "w1", worker.URL)
+	waitAlive(t, coordURL, 1)
+	info := submitVia(t, coordURL, streamSpec(4096))
+	before := clusterViewOf(t, coordURL).ForwardErrors
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, coordURL+"/v1/jobs/"+info.ID+"/inspect", nil)
+	go func() {
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitFor := func(ch chan struct{}, what string) {
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatal(what)
+		}
+	}
+	waitFor(inspectSeen, "worker never saw the inspect request")
+	cancel()
+	waitFor(relayDone, "relay never returned after the hang-up")
+
+	cv := clusterViewOf(t, coordURL)
+	if cv.ForwardErrors != before {
+		t.Fatalf("subscriber hang-up counted against the worker: forward_errors %d -> %d", before, cv.ForwardErrors)
+	}
+	if len(cv.Workers) != 1 || !cv.Workers[0].Alive {
+		t.Fatalf("subscriber hang-up expired a healthy worker: %+v", cv.Workers)
+	}
+	if code, got := pollVia(t, coordURL, info.ID); code != http.StatusOK || got.State != colcache.StateRunning || got.Node != "w1" {
+		t.Fatalf("poll after hang-up: HTTP %d %+v", code, got)
+	}
+}
