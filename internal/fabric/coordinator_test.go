@@ -816,7 +816,9 @@ func TestCoordinatorInspectHangupSparesWorker(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, coordURL+"/v1/jobs/"+info.ID+"/inspect", nil)
+	subscriberDone := make(chan struct{})
 	go func() {
+		defer close(subscriberDone)
 		if resp, err := http.DefaultClient.Do(req); err == nil {
 			resp.Body.Close()
 		}
@@ -831,6 +833,7 @@ func TestCoordinatorInspectHangupSparesWorker(t *testing.T) {
 	waitFor(inspectSeen, "worker never saw the inspect request")
 	cancel()
 	waitFor(relayDone, "relay never returned after the hang-up")
+	waitFor(subscriberDone, "subscriber never returned after its hang-up")
 
 	cv := clusterViewOf(t, coordURL)
 	if cv.ForwardErrors != before {

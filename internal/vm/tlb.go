@@ -72,8 +72,8 @@ type TLB struct {
 	// Invariant: every valid entry has exactly one cell, and every non-empty
 	// cell points at a valid entry. install, FlushPage, FlushAll and Restore
 	// maintain it; SetASID needs nothing because the ASID is part of the key.
-	index     []uint32
-	indexBits uint
+	index      []uint32
+	indexShift uint // 64 - log2(len(index))
 
 	// Counter economy on the lookup path: clock advances once per Lookup, so
 	// Accesses is derived as clock-clockBase (clockBase snapshots clock at
@@ -114,13 +114,13 @@ func NewTLB(cfg TLBConfig, pt *PageTable) (*TLB, error) {
 	}
 	bits := memory.Log2(cfg.Entries) + 1
 	return &TLB{
-		cfg:       cfg,
-		pt:        pt,
-		pgShift:   memory.Log2(pt.g.PageBytes),
-		numSets:   uint64(cfg.Entries / cfg.Ways),
-		entries:   make([]tlbEntry, cfg.Entries),
-		index:     make([]uint32, 1<<bits),
-		indexBits: bits,
+		cfg:        cfg,
+		pt:         pt,
+		pgShift:    memory.Log2(pt.g.PageBytes),
+		numSets:    uint64(cfg.Entries / cfg.Ways),
+		entries:    make([]tlbEntry, cfg.Entries),
+		index:      make([]uint32, 1<<bits),
+		indexShift: 64 - bits,
 	}, nil
 }
 
@@ -159,7 +159,7 @@ func (t *TLB) set(pn uint64) ([]tlbEntry, int) {
 
 // home is the index cell a key hashes to (Fibonacci hashing).
 func (t *TLB) home(asid uint16, pn uint64) uint64 {
-	return ((pn ^ uint64(asid)<<48) * 0x9E3779B97F4A7C15) >> (64 - t.indexBits)
+	return ((pn ^ uint64(asid)<<48) * 0x9E3779B97F4A7C15) >> (t.indexShift & 63)
 }
 
 // find returns the slot of the valid entry for (asid, pn), or -1.
