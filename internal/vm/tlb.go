@@ -157,7 +157,8 @@ func (t *TLB) set(pn uint64) ([]tlbEntry, int) {
 	return t.entries[base : base+t.cfg.Ways], base
 }
 
-// home is the index cell a key hashes to (Fibonacci hashing).
+// home is the index cell a key hashes to (Fibonacci hashing). The & 63
+// lets the compiler drop its guard for shifts of 64 or more.
 func (t *TLB) home(asid uint16, pn uint64) uint64 {
 	return ((pn ^ uint64(asid)<<48) * 0x9E3779B97F4A7C15) >> (t.indexShift & 63)
 }
