@@ -213,7 +213,8 @@ conformance:
 # cores is recorded by benchcore, not here. The first colsim legs
 # replicate one trace into disjoint per-core windows, so their epochs
 # merge; the idct shard leg deals one trace round-robin across the cores,
-# so the cores share lines and the epoch stepper rolls back and backs off.
+# so the cores share lines and the epoch stepper declines to speculate
+# (or rolls back) and backs off.
 # The stream leg replays one binary trace materialized and streamed
 # through memsys's one trace loop; everything but the trace: line must match.
 multicore:

@@ -463,8 +463,8 @@ func epochSummary(es multicore.EpochStats) string {
 	if es.Fallback != "" {
 		path = "fell back to serial (" + es.Fallback + ")"
 	}
-	return fmt.Sprintf("colsim: parallel stepper %s: epochs=%d conflict_epochs=%d serial_windows=%d lookahead_accesses=%d direct_accesses=%d",
-		path, es.Epochs, es.ConflictEpochs, es.SerialWindows, es.LookaheadAccesses, es.DirectAccesses)
+	return fmt.Sprintf("colsim: parallel stepper %s: epochs=%d conflict_epochs=%d predicted_conflicts=%d serial_windows=%d lookahead_accesses=%d direct_accesses=%d",
+		path, es.Epochs, es.ConflictEpochs, es.PredictedConflicts, es.SerialWindows, es.LookaheadAccesses, es.DirectAccesses)
 }
 
 // openInspectOut opens the occupancy-frame JSONL destination; "-" means

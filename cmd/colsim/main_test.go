@@ -138,8 +138,8 @@ func TestJobMaskFlag(t *testing.T) {
 }
 
 func TestEpochSummaryNamesThePath(t *testing.T) {
-	got := epochSummary(multicore.EpochStats{Epochs: 3, ConflictEpochs: 1, SerialWindows: 4, LookaheadAccesses: 90, DirectAccesses: 2})
-	want := "colsim: parallel stepper ran epochs: epochs=3 conflict_epochs=1 serial_windows=4 lookahead_accesses=90 direct_accesses=2"
+	got := epochSummary(multicore.EpochStats{Epochs: 3, ConflictEpochs: 1, PredictedConflicts: 5, SerialWindows: 4, LookaheadAccesses: 90, DirectAccesses: 2})
+	want := "colsim: parallel stepper ran epochs: epochs=3 conflict_epochs=1 predicted_conflicts=5 serial_windows=4 lookahead_accesses=90 direct_accesses=2"
 	if got != want {
 		t.Errorf("epoch run:\n got %q\nwant %q", got, want)
 	}

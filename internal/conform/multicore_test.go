@@ -34,9 +34,10 @@ func TestMulticoreSerialEquivalenceSweep(t *testing.T) {
 		total.RecordsMerged += es.RecordsMerged
 		total.DirectAccesses += es.DirectAccesses
 		total.SerialWindows += es.SerialWindows
+		total.PredictedConflicts += es.PredictedConflicts
 	}
-	t.Logf("%d cases: epochs=%d conflict_epochs=%d records_merged=%d direct_accesses=%d serial_windows=%d",
-		cases, total.Epochs, total.ConflictEpochs, total.RecordsMerged, total.DirectAccesses, total.SerialWindows)
+	t.Logf("%d cases: epochs=%d conflict_epochs=%d records_merged=%d direct_accesses=%d serial_windows=%d predicted_conflicts=%d",
+		cases, total.Epochs, total.ConflictEpochs, total.RecordsMerged, total.DirectAccesses, total.SerialWindows, total.PredictedConflicts)
 }
 
 // The sweep's case generator must actually produce the variety it claims:

@@ -207,7 +207,8 @@ func (c *Coordinator) sweeper() {
 // reconcile retires routed jobs whose terminal state no client ever
 // polled for (the submitter hung up): without it those routes would hold
 // their steal bodies until eviction and count as pending forever. Each
-// tick refreshes up to limit non-terminal assignments from their workers.
+// tick refreshes up to limit non-terminal assignments from their workers,
+// and re-places the jobs a live worker answers 404 for, as a poll would.
 func (c *Coordinator) reconcile(limit int) {
 	c.mu.Lock()
 	var stale []*routedJob
@@ -229,7 +230,9 @@ func (c *Coordinator) reconcile(limit int) {
 	c.mu.Unlock()
 	for _, j := range stale {
 		node, workerID := j.assignment()
-		c.refresh(j, node, workerID)
+		if _, status := c.refresh(j, node, workerID); status == http.StatusNotFound {
+			c.replaceLost(j, workerID)
+		}
 	}
 }
 
@@ -249,6 +252,28 @@ func (c *Coordinator) refresh(j *routedJob, node, workerID string) (*colcache.Jo
 	}
 	c.adopt(j, node, workerID, &info)
 	return &info, resp.StatusCode
+}
+
+// replaceLost handles a live worker's 404 for j's assignment workerID: the
+// worker no longer knows the job (it restarted over fresh state, or evicted
+// it), so the assignment is lost even though the node is alive. The job is
+// re-placed from the retained body in the background, exactly like a
+// steal — unless it finished, is already being re-placed, or moved to
+// another assignment meanwhile.
+func (c *Coordinator) replaceLost(j *routedJob, workerID string) {
+	j.mu.Lock()
+	replace := !j.terminal && !j.stealing && j.workerID == workerID
+	if replace {
+		j.stealing = true
+	}
+	j.mu.Unlock()
+	if replace {
+		c.wg.Add(1)
+		go func() {
+			defer c.wg.Done()
+			c.stealJob(j)
+		}()
+	}
 }
 
 // workerDown expires a worker immediately (connection-refused beats the
@@ -815,23 +840,7 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if status == http.StatusNotFound {
-		// The worker no longer knows the job (restarted over fresh state,
-		// or evicted it): the assignment is lost even though the node is
-		// alive — re-place the job from the retained body, exactly like a
-		// steal.
-		j.mu.Lock()
-		replace := !j.terminal && !j.stealing && j.workerID == workerID
-		if replace {
-			j.stealing = true
-		}
-		j.mu.Unlock()
-		if replace {
-			c.wg.Add(1)
-			go func() {
-				defer c.wg.Done()
-				c.stealJob(j)
-			}()
-		}
+		c.replaceLost(j, workerID)
 	}
 	// The assignment is unreachable (worker just died, or its store
 	// evicted the job). The route survives: answer queued so the client

@@ -610,11 +610,11 @@ func TestCoordinatorReconcilesUnpolledRoutes(t *testing.T) {
 	}
 }
 
-// TestCoordinatorReplacesJobLostByLiveWorker: a worker that restarts over
-// fresh state behind the same URL answers 404 for the job; the next poll
-// re-places it from the retained body and it finishes as recovered.
-func TestCoordinatorReplacesJobLostByLiveWorker(t *testing.T) {
-	_, coordURL := startTestCoordinator(t, CoordinatorConfig{})
+// startRestartingWorker registers worker w1 whose process restarts over
+// fresh state right after it accepts its first submission: every later
+// request meets a service that has never heard of that job.
+func startRestartingWorker(t *testing.T, coordURL string) {
+	t.Helper()
 	first := service.New(service.Config{})
 	fresh := service.New(service.Config{})
 	t.Cleanup(func() {
@@ -630,8 +630,6 @@ func TestCoordinatorReplacesJobLostByLiveWorker(t *testing.T) {
 		mu.Unlock()
 		h.ServeHTTP(w, r)
 		if r.Method == http.MethodPost {
-			// The first accepted submission is the last thing the old
-			// process does: every later request meets the fresh one.
 			restart.Do(func() {
 				mu.Lock()
 				handler = fresh.Handler()
@@ -643,6 +641,26 @@ func TestCoordinatorReplacesJobLostByLiveWorker(t *testing.T) {
 	agent := StartAgent(AgentConfig{Coordinator: coordURL, Name: "w1", BaseURL: hs.URL, Interval: 50 * time.Millisecond})
 	t.Cleanup(agent.Stop)
 	waitAlive(t, coordURL, 1)
+}
+
+// requireReplaced checks that job id finished as a re-placed (recovered)
+// job on w1, and that the coordinator booked exactly one re-placement.
+func requireReplaced(t *testing.T, coordURL, id string, final colcache.JobInfo) {
+	t.Helper()
+	if final.State != colcache.StateDone || !final.Recovered || final.ID != id || final.Node != "w1" {
+		t.Fatalf("re-placed job ended %+v", final)
+	}
+	if cv := clusterViewOf(t, coordURL); cv.JobsStolen != 1 || cv.StealFailures != 0 {
+		t.Fatalf("re-placement books: stolen %d, failures %d; want 1, 0", cv.JobsStolen, cv.StealFailures)
+	}
+}
+
+// TestCoordinatorReplacesJobLostByLiveWorker: a worker that restarts over
+// fresh state behind the same URL answers 404 for the job; the next poll
+// re-places it from the retained body and it finishes as recovered.
+func TestCoordinatorReplacesJobLostByLiveWorker(t *testing.T) {
+	_, coordURL := startTestCoordinator(t, CoordinatorConfig{})
+	startRestartingWorker(t, coordURL)
 
 	info := submitVia(t, coordURL, streamSpec(4096))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -651,12 +669,24 @@ func TestCoordinatorReplacesJobLostByLiveWorker(t *testing.T) {
 	if err != nil {
 		t.Fatalf("wait: %v", err)
 	}
-	if final.State != colcache.StateDone || !final.Recovered || final.ID != info.ID || final.Node != "w1" {
-		t.Fatalf("re-placed job ended %+v", final)
+	requireReplaced(t, coordURL, info.ID, final)
+}
+
+// TestCoordinatorReconcilerReplacesJobLostByLiveWorker: the same lost job,
+// but nobody polls it. The background reconciler meets the live worker's
+// 404 and re-places the job on its own; it finishes and its route retires
+// before the first client poll.
+func TestCoordinatorReconcilerReplacesJobLostByLiveWorker(t *testing.T) {
+	_, coordURL := startTestCoordinator(t, CoordinatorConfig{})
+	startRestartingWorker(t, coordURL)
+
+	info := submitVia(t, coordURL, streamSpec(4096))
+	waitPending(t, coordURL, 0)
+	code, final := pollVia(t, coordURL, info.ID)
+	if code != http.StatusOK {
+		t.Fatalf("poll after reconcile: HTTP %d", code)
 	}
-	if cv := clusterViewOf(t, coordURL); cv.JobsStolen != 1 || cv.StealFailures != 0 {
-		t.Fatalf("re-placement books: stolen %d, failures %d; want 1, 0", cv.JobsStolen, cv.StealFailures)
-	}
+	requireReplaced(t, coordURL, info.ID, final)
 }
 
 // TestCoordinatorRelaysWorkerAnswersVerbatim: backpressure and validation

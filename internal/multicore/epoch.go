@@ -17,6 +17,14 @@ package multicore
 //     the first clean merge. Each skipped window still ends at a K-cycle
 //     barrier, so cancellation, checkpoint reporting and the Checks-mode
 //     invariant walk behave exactly as they do after a merged epoch.
+//     A speculation that does not follow a clean merge — the run's first
+//     window, and the first window after each backoff stretch — is first
+//     checked against the coming window (sharesLine): if two cores' traces
+//     touch one line before their clocks can pass the horizon, the window
+//     runs serially and starts a backoff stretch exactly as a rollback
+//     would, without paying for the snapshot, lookahead and restore. The
+//     check reads only traces and clocks, so like backoff it cannot change
+//     a result.
 //  1. Snapshot. The whole machine state (flat L1/L2 arrays, TLBs, every
 //     counter) is captured; on the flat SoA state from PR 6 this is a few
 //     contiguous copies.
@@ -78,6 +86,7 @@ package multicore
 import (
 	"context"
 	"math"
+	"math/bits"
 	"sync"
 
 	"colcache/internal/cache"
@@ -94,24 +103,27 @@ const DefaultEpochCycles = 4096
 
 // Conflict backoff (step 0). In units of W, the serial cost of one window:
 // a rollback pays a snapshot, a wasted lookahead and a restore on top of
-// the serial replay — R ≈ 0.65 W extra on perfbench's mc8-mixed-epoch
-// (2-vCPU Xeon: 2.56 ms per 8-core job with 5 rolled-back epochs, 1.53 ms
-// serial). A clean epoch saves at most one window's arbitration: S ≈ 0.3 W
-// at 8 cores, where the disjoint-window corebench rows run ~1.45x
-// serial, and nothing at 2. Speculating is worth it only when the next
-// epoch merges with probability above R/(R+S) ≈ 2/3, and conflicts come in
-// runs: write-shared traffic that conflicted once tends to conflict again
-// in the next window.
+// the serial replay, and a clean epoch saves at most one window's
+// arbitration — about 0.3 W at 8 cores on disjoint traffic, nothing at 2.
+// Each speculation also pays a fixed cost for its snapshot, goroutines and
+// restore whatever its length — about 0.1 ms per speculation on 8-core
+// mc8 traffic on a 2-vCPU Xeon — so a rollback is never cheap.
+// Speculating is worth it only when the next epoch is likely to merge, and
+// conflicts come in runs: write-shared traffic that conflicted once tends
+// to conflict again in the next window.
 //
 //   - backoffInitial = 4: a lone conflict on otherwise clean traffic
-//     forfeits at most 4 × 0.3 W, about twice the rollback that triggered
-//     it, while persistent conflicts stop costing a rollback every other
-//     window. On mc8-mixed-epoch an initial skip of 1 ran at 2.06–2.14 ms
-//     per job, 4 at 1.80–1.88 ms, and 16 no better at 1.80–1.85 ms: its
-//     jobs are 5 windows long, so 4 already covers them.
+//     forfeits at most 4 × 0.3 W, while persistent conflicts stop costing
+//     a rollback every other window. perfbench's mc8-mixed-epoch jobs are
+//     about 5 windows long, so one stretch covers the rest of a job.
 //   - backoffMax = 64: persistently conflicting traffic pays one rollback
-//     per 65 windows, about 1% of W; traffic that turns conflict-free is
-//     found again within 64 windows.
+//     per 65 windows, about 1% of W, or only a share check when that
+//     declines the speculation; traffic that turns conflict-free is found
+//     again within 64 windows.
+//
+// The share check (sharesLine) takes the first speculation of a run and of
+// each stretch: on mc8-mixed-epoch it declines every job's first epoch, so
+// those jobs run like the serial stepper.
 //
 // Neither value affects results: serialWindow is the rollback replay path,
 // and results are invariant in where barriers fall.
@@ -143,6 +155,10 @@ type EpochStats struct {
 	DirectAccesses    int64 // accesses executed serially inside a merge (drained log)
 	LookaheadAccesses int64 // accesses executed inside parallel lookaheads (pre-rollback)
 	SerialWindows     int64 // K-cycle windows run serially, without speculation, after a rollback
+	// PredictedConflicts counts K-cycle windows run serially, without
+	// speculation, because the share check found a line two cores touch in
+	// them; each also starts a backoff stretch.
+	PredictedConflicts int64
 	// Fallback is why the latest RunParallelContext call handed the run to
 	// the serial RunContext (one of the Fallback* constants); empty when
 	// epochs ran.
@@ -379,9 +395,12 @@ func (m *Machine) RunParallel(epochCycles int64) error {
 // The stepper backs off after a rollback: the next windows of epochCycles
 // run serially, without speculation, for a stretch that doubles on each
 // consecutive rollback and resets on the first clean merge (see the design
-// comment's step 0). Skipped windows keep the epoch barrier, so the context
-// is polled and checkpoints are reported at the same granularity either
-// way; EpochStats.SerialWindows counts them.
+// comment's step 0). A speculation that does not follow a clean merge is
+// skipped outright when two cores touch one line in the coming window; the
+// window then runs serially and starts a stretch as a rollback would.
+// Skipped windows keep the epoch barrier, so the context is polled and
+// checkpoints are reported at the same granularity either way;
+// EpochStats.SerialWindows and EpochStats.PredictedConflicts count them.
 //
 // Machines the epoch machinery cannot serve bit-identically fall back to the
 // serial RunContext: a single core (nothing to parallelize), an attached
@@ -414,6 +433,8 @@ func (m *Machine) RunParallelContext(ctx context.Context, epochCycles int64, che
 		}
 	}
 	snap := &machineSnapshot{}
+	claims := make([]lineClaim, lineClaimSlots)
+	merged := false // the previous window was a clean merge
 	var lastReport int64
 
 	for !m.Done() {
@@ -432,17 +453,25 @@ func (m *Machine) RunParallelContext(ctx context.Context, epochCycles int64, che
 		}
 		horizon := minClock + epochCycles
 
-		if m.backoff.skip > 0 {
+		switch {
+		case m.backoff.skip > 0:
 			m.backoff.skip--
 			m.estats.SerialWindows++
 			if err := m.serialWindow(horizon); err != nil {
 				return err
 			}
-		} else {
+		case !merged && !m.testAlwaysSpeculate && m.sharesLine(claims, horizon):
+			m.estats.PredictedConflicts++
+			m.backoff.rolledBack()
+			if err := m.serialWindow(horizon); err != nil {
+				return err
+			}
+		default:
 			conflict, err := m.speculate(logs, snap, horizon)
 			if err != nil {
 				return err
 			}
+			merged = !conflict
 			if conflict {
 				m.backoff.rolledBack()
 			} else {
@@ -484,6 +513,54 @@ func (m *Machine) parallelFallback() string {
 		return FallbackNotSnapshottable
 	}
 	return ""
+}
+
+// lineClaimSlots sizes sharesLine's table: a power of two, 16 KiB.
+const lineClaimSlots = 1024
+
+// lineClaim is one slot of sharesLine's direct-mapped line → first-core
+// table.
+type lineClaim struct {
+	line memory.Addr
+	core int32 // index+1 of the first core to touch line; 0 marks an empty slot
+}
+
+// sharesLine reports whether two unfinished cores touch the same line among
+// the accesses a lookahead to horizon could reach. Each access advances the
+// optimistic clock by at least its think time plus the cheaper of a cache
+// hit and an uncached access, so each core's walk stops once that lower
+// bound reaches the horizon: it covers every access the lookahead could
+// run. Touched, not written: the conflict scan flags any bus transaction on
+// a line another looking-ahead core held, and on cold caches read misses
+// are transactions too.
+//
+// The table is direct-mapped with tags and a later line overwrites an
+// earlier one in its slot, so a collision can hide a shared line but never
+// invent one. The walk reads only traces and clocks; the answer steers
+// where the window runs, never what it computes.
+func (m *Machine) sharesLine(claims []lineClaim, horizon int64) bool {
+	clear(claims)
+	shift := 64 - uint(bits.TrailingZeros(uint(len(claims))))
+	nonMem := int64(m.timing.NonMemInstr)
+	minCost := int64(min(m.timing.CacheHit, m.timing.Uncached))
+	for i, c := range m.cores {
+		id := int32(i + 1)
+		opt := c.cycles
+		for pos := c.pos; pos < len(c.trace) && opt < horizon; pos++ {
+			a := c.trace[pos]
+			opt += int64(a.Think)*nonMem + minCost
+			line := m.g.LineBase(a.Addr)
+			cl := &claims[(uint64(line)*0x9e3779b97f4a7c15)>>shift]
+			if cl.core != 0 && cl.line == line {
+				if cl.core != id {
+					return true
+				}
+				continue
+			}
+			*cl = lineClaim{line: line, core: id}
+		}
+	}
+	return false
 }
 
 // speculate runs one epoch up to horizon: snapshot, parallel lookahead and

@@ -2,6 +2,7 @@ package multicore
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -95,6 +96,9 @@ func disjointConfig(seed int64, cores int, checks bool) Config {
 // stepper produces bit-identical machines to the serial stepper — same
 // counters, same cache contents — on both contended (rollback-exercising) and
 // disjoint (merge-exercising) workloads, with invariant checking on and off.
+// The share check would decline most speculation on the contended machines,
+// so one machine runs with the check off to keep the rollback path covered
+// and a second runs as shipped.
 func TestEpochStepperMatchesSerial(t *testing.T) {
 	epochs := []int64{1, 2, 7, 64, 1024, DefaultEpochCycles}
 	if testing.Short() {
@@ -112,14 +116,19 @@ func TestEpochStepperMatchesSerial(t *testing.T) {
 	for _, b := range builders {
 		for _, k := range epochs {
 			cfg := b.cfg(42)
-			serial, parallel := MustNew(cfg), MustNew(cfg)
+			serial, parallel, checked := MustNew(cfg), MustNew(cfg), MustNew(cfg)
+			parallel.testAlwaysSpeculate = true
 			if err := serial.Run(); err != nil {
 				t.Fatalf("%s K=%d: serial: %v", b.name, k, err)
 			}
 			if err := parallel.RunParallel(k); err != nil {
 				t.Fatalf("%s K=%d: parallel: %v", b.name, k, err)
 			}
+			if err := checked.RunParallel(k); err != nil {
+				t.Fatalf("%s K=%d: share-checked parallel: %v", b.name, k, err)
+			}
 			requireMachinesEqual(t, b.name+" K="+string(rune('0'+k%10)), serial, parallel)
+			requireMachinesEqual(t, b.name+" share-checked", serial, checked)
 			if es := parallel.EpochStats(); es.Epochs == 0 {
 				t.Fatalf("%s K=%d: epoch stepper never ran an epoch", b.name, k)
 			}
@@ -182,6 +191,7 @@ func TestEpochStatsExerciseBothPaths(t *testing.T) {
 	}
 
 	m = MustNew(sharedConfig(3, 3, false))
+	m.testAlwaysSpeculate = true
 	if err := m.RunParallel(256); err != nil {
 		t.Fatal(err)
 	}
@@ -190,26 +200,41 @@ func TestEpochStatsExerciseBothPaths(t *testing.T) {
 	}
 }
 
-// runWithoutBackoff runs m on the epoch stepper with backoff disabled —
-// every window speculates, as the stepper did before backoff existed — by
-// clearing the backoff state at every barrier.
+// runWithoutBackoff runs m on the epoch stepper with backoff and the share
+// check disabled — every window speculates, as the stepper did before
+// backoff existed — by clearing the backoff state at every barrier.
 func runWithoutBackoff(t *testing.T, m *Machine, k int64) EpochStats {
 	t.Helper()
+	m.testAlwaysSpeculate = true
 	if err := m.RunParallelContext(context.Background(), k, 1, func(int64) { m.backoff = backoffState{} }); err != nil {
 		t.Fatal(err)
 	}
 	return m.EpochStats()
 }
 
+// backoffRollbacks is how many speculations the backoff schedule makes over
+// windows windows when every one of them rolls back: one, then one after
+// each stretch of 4, 8, 16, ... serial windows.
+func backoffRollbacks(windows int64) int64 {
+	n := int64(0)
+	for w, stretch := int64(0), int64(backoffInitial); w < windows; stretch = min(2*stretch, backoffMax) {
+		n++
+		w += 1 + stretch
+	}
+	return n
+}
+
 // On a machine where every speculative epoch conflicts, backoff must keep
 // the result bit-identical while replacing most rollbacks with plain serial
 // windows, in stretches of 4, 8, 16, ... windows after consecutive
-// rollbacks.
+// rollbacks. The share check is off, so the window after each stretch
+// speculates for real.
 func TestEpochBackoffOnContendedMachine(t *testing.T) {
 	const k = 256
 	for _, checks := range []bool{false, true} {
 		cfg := sharedConfig(7, 4, checks)
 		serial, parallel, eager := MustNew(cfg), MustNew(cfg), MustNew(cfg)
+		parallel.testAlwaysSpeculate = true
 		if err := serial.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -234,14 +259,93 @@ func TestEpochBackoffOnContendedMachine(t *testing.T) {
 		if got := es.Epochs + es.SerialWindows; got != windows {
 			t.Fatalf("checks=%v: %d epochs + serial windows, want %d windows", checks, got, windows)
 		}
-		want := int64(0)
-		for w, stretch := int64(0), int64(backoffInitial); w < windows; stretch = min(2*stretch, backoffMax) {
-			want++
-			w += 1 + stretch
-		}
+		want := backoffRollbacks(windows)
 		if es.ConflictEpochs != want || want < 3 {
 			t.Fatalf("checks=%v: %d rollbacks over %d windows, backoff schedule gives %d",
 				checks, es.ConflictEpochs, windows, want)
+		}
+	}
+}
+
+// firstWindowRun runs m on the epoch stepper and returns its EpochStats as
+// they stood at the first barrier, and at the end of the run.
+func firstWindowRun(t *testing.T, m *Machine, k int64) (first, final EpochStats) {
+	t.Helper()
+	seen := false
+	if err := m.RunParallelContext(context.Background(), k, 1, func(int64) {
+		if !seen {
+			first, seen = m.EpochStats(), true
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return first, m.EpochStats()
+}
+
+// The share check declines the first speculation on a contended machine —
+// no lookahead runs in the first window — and takes the place of every
+// rollback the backoff schedule would have paid for. On the disjoint
+// machine it never fires. Either way the result is the serial stepper's.
+func TestShareCheckDecides(t *testing.T) {
+	const k = 256
+	for _, checks := range []bool{false, true} {
+		cfg := sharedConfig(7, 4, checks)
+		serial, parallel, eager := MustNew(cfg), MustNew(cfg), MustNew(cfg)
+		eager.testAlwaysSpeculate = true
+		if err := serial.Run(); err != nil {
+			t.Fatal(err)
+		}
+		first, es := firstWindowRun(t, parallel, k)
+		eagerFirst, eagerES := firstWindowRun(t, eager, k)
+		requireMachinesEqual(t, "share check", serial, parallel)
+		requireMachinesEqual(t, "no share check", serial, eager)
+		if first.PredictedConflicts != 1 || first.Epochs != 0 || first.LookaheadAccesses != 0 {
+			t.Fatalf("checks=%v: first window speculated: %+v", checks, first)
+		}
+		if eagerFirst.ConflictEpochs != 1 || eagerFirst.LookaheadAccesses == 0 {
+			t.Fatalf("checks=%v: without the check the first window did not roll back: %+v", checks, eagerFirst)
+		}
+		windows := eagerES.Epochs + eagerES.SerialWindows
+		if got := es.Epochs + es.SerialWindows + es.PredictedConflicts; got != windows {
+			t.Fatalf("checks=%v: %d windows with the check, %d without", checks, got, windows)
+		}
+		if want := backoffRollbacks(windows); es.PredictedConflicts != want || es.Epochs != 0 || eagerES.ConflictEpochs != want {
+			t.Fatalf("checks=%v: %+v with the check, %d rollbacks without; schedule gives %d",
+				checks, es, eagerES.ConflictEpochs, want)
+		}
+
+		cfg = disjointConfig(3, 4, checks)
+		serial, parallel = MustNew(cfg), MustNew(cfg)
+		if err := serial.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if _, es = firstWindowRun(t, parallel, k); es.PredictedConflicts != 0 || es.SerialWindows != 0 || es.RecordsMerged == 0 {
+			t.Fatalf("checks=%v: share check fired on disjoint traffic: %+v", checks, es)
+		}
+		requireMachinesEqual(t, "disjoint share check", serial, parallel)
+	}
+}
+
+// sharesLine walks each core only as far as a lookahead to the horizon
+// could reach, and a collision in its table can hide a shared line but
+// never invent one.
+func TestSharesLineReachAndCollisions(t *testing.T) {
+	// With DefaultTiming an access costs at least 1 + Think cycles, so core
+	// 0's third access starts no earlier than cycle 52.
+	far := memtrace.Trace{read(0x100), {Addr: 0x200, Think: 50}, read(0x1000)}
+	m := MustNew(testConfig(far, memtrace.Trace{read(0x1000)}))
+	claims := make([]lineClaim, lineClaimSlots)
+	if m.sharesLine(claims, 40) {
+		t.Fatal("reported a line core 0 cannot reach before the horizon")
+	}
+	if !m.sharesLine(claims, 100) {
+		t.Fatal("missed a line both cores reach")
+	}
+
+	m = MustNew(disjointConfig(5, 4, false))
+	for _, slots := range []int{1, 2, lineClaimSlots} {
+		if m.sharesLine(make([]lineClaim, slots), math.MaxInt64) {
+			t.Fatalf("%d-slot table reported a shared line on disjoint traces", slots)
 		}
 	}
 }
@@ -418,6 +522,7 @@ func TestDirectExecutionConflictsWithFoldedHitTail(t *testing.T) {
 		Traces:      []memtrace.Trace{writer, victim, keeper},
 	}
 	serial, parallel := MustNew(cfg), MustNew(cfg)
+	parallel.testAlwaysSpeculate = true
 	if err := serial.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -215,6 +215,10 @@ type Machine struct {
 	// mutations through it to prove the invariant checker sees through the
 	// parallel path.
 	testMergeHook func(coreIdx int, r *epochRec)
+	// testAlwaysSpeculate, when set, skips the epoch stepper's share check
+	// so every speculation runs. Tests that pin the rollback, backoff and
+	// tail-window paths set it to keep reaching them.
+	testAlwaysSpeculate bool
 }
 
 // RemapEvent rewrites core Core's shared-L2 column mask immediately after
