@@ -281,9 +281,9 @@ watch:
 	echo "watch: SSE frames, time travel, and colwatch replay OK"
 
 # Coverage gate: the column-cache core packages (cache, replacement, tint,
-# the TLB in vm) plus the durability layer
+# the TLB in vm), the multicore coherence machine, plus the durability layer
 # (WAL + result cache) must stay at or above 85% statement coverage.
-COVER_PKGS = colcache/internal/cache colcache/internal/replacement colcache/internal/tint colcache/internal/vm colcache/internal/wal colcache/internal/resultcache
+COVER_PKGS = colcache/internal/cache colcache/internal/replacement colcache/internal/tint colcache/internal/vm colcache/internal/multicore colcache/internal/wal colcache/internal/resultcache
 cover:
 	@$(GO) test -cover $(COVER_PKGS) | awk ' \
 		/coverage:/ { \

@@ -439,15 +439,23 @@ func (c *Cache) Invalidate(addr memory.Addr) bool {
 	for w := 0; w < c.numWays; w++ {
 		i := base + w
 		if c.valid[i] && c.tags[i] == tag {
-			c.clearLine(i)
-			if int(c.hint[set]) == w {
-				c.hint[set] = 0
-			}
-			c.invalidateRep(set, w)
+			c.InvalidateWay(set, w)
 			return true
 		}
 	}
 	return false
+}
+
+// InvalidateWay drops the valid line at (set, way) without writeback: the
+// second half of Invalidate, for a caller that already knows where the line
+// sits (the multicore bus finds remote copies in its tag mirror) and so
+// needs no search.
+func (c *Cache) InvalidateWay(set, way int) {
+	c.clearLine(set*c.numWays + way)
+	if int(c.hint[set]) == way {
+		c.hint[set] = 0
+	}
+	c.invalidateRep(set, way)
 }
 
 // FlushAll invalidates every line, counting writebacks for dirty ones, and

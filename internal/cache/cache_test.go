@@ -188,6 +188,14 @@ func TestInvalidateAndFlush(t *testing.T) {
 	if c.ResidentLines() != 1 {
 		t.Errorf("resident=%d want 1", c.ResidentLines())
 	}
+	set, _ := c.SetTagOf(0x1000)
+	c.InvalidateWay(set, c.WayOf(0x1000))
+	if _, hit := c.Probe(0x1000); hit || c.ResidentLines() != 0 {
+		t.Error("InvalidateWay left its line resident")
+	}
+	if r := c.Read(0x1000, all); r.Hit {
+		t.Error("read after InvalidateWay hit")
+	}
 	c.FlushAll()
 	if c.ResidentLines() != 0 {
 		t.Error("FlushAll left residents")

@@ -60,7 +60,8 @@ func benchMachine(b *testing.B, cores, accesses int) *Machine {
 
 // BenchmarkStepper measures the deterministic stepper's end-to-end
 // throughput: TLB, tint mask, L1 with way memoization, MSI bus, shared L2.
-// ns/op is per simulated access.
+// ns/op is per run of accesses×cores accesses; ns/access is per simulated
+// access. Machine construction is outside the timer.
 func BenchmarkStepper(b *testing.B) {
 	for _, cores := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("cores=%d", cores), func(b *testing.B) {
@@ -74,7 +75,7 @@ func BenchmarkStepper(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.N *= accesses * cores // report per-access cost
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*accesses*cores), "ns/access")
 		})
 	}
 }
@@ -146,18 +147,11 @@ func BenchmarkEpochVsSerial(b *testing.B) {
 		shared bool // the share check must decline every speculation
 	}{
 		{"idct-disjoint", idctTiles(cores, 50000), nil, false},
-		{"mc8-contended", contendedTraces(cores), func(i int) replacement.Mask { return replacement.Of(2*(i%4), 2*(i%4)+1) }, true},
+		{"mc8-contended", contendedTraces(cores), mc8L2Mask, true},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			cfg := Config{
-				Geometry:    memory.MustGeometry(32, 4096),
-				L1:          cache.Config{LineBytes: 32, NumSets: 16, NumWays: 2, Policy: replacement.LRU},
-				L2:          cache.Config{LineBytes: 32, NumSets: 64, NumWays: 8, Policy: replacement.LRU},
-				Timing:      memsys.DefaultTiming,
-				L2HitCycles: 6,
-				Traces:      tc.traces,
-			}
+			cfg := mc8Config(tc.traces)
 			var accesses int64
 			for _, tr := range tc.traces {
 				accesses += int64(len(tr))
@@ -194,4 +188,93 @@ func BenchmarkEpochVsSerial(b *testing.B) {
 			b.ReportMetric(elapsed[0].Seconds()/elapsed[1].Seconds(), "speedup")
 		})
 	}
+}
+
+// mc8Config is the machine perfbench's mc8 jobs build: 16×2 L1s over a
+// 64×8 L2, in 32-byte lines.
+func mc8Config(traces []memtrace.Trace) Config {
+	return Config{
+		Geometry:    memory.MustGeometry(32, 4096),
+		L1:          cache.Config{LineBytes: 32, NumSets: 16, NumWays: 2, Policy: replacement.LRU},
+		L2:          cache.Config{LineBytes: 32, NumSets: 64, NumWays: 8, Policy: replacement.LRU},
+		Timing:      memsys.DefaultTiming,
+		L2HitCycles: 6,
+		Traces:      traces,
+	}
+}
+
+// mc8L2Mask is core i's L2 partition in the mc8 jobs: two columns, shared
+// by cores i and i+4.
+func mc8L2Mask(i int) replacement.Mask { return replacement.Of(2*(i%4), 2*(i%4)+1) }
+
+// busMachine returns an 8-core mc8 machine with its L2 partition, warmed by
+// running contendedTraces to completion, so every L1 set is full.
+func busMachine(b *testing.B) *Machine {
+	b.Helper()
+	m := MustNew(mc8Config(contendedTraces(8)))
+	for c := 0; c < 8; c++ {
+		if err := m.SetL2Mask(c, mc8L2Mask(c)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := m.Run(); err != nil {
+		b.Fatal(err)
+	}
+	return m
+}
+
+// BenchmarkBusOps times single bus operations on a warmed mc8-shaped
+// machine, cycling through 16 lines so every L1 set is hit:
+//
+//   - lookup-no-holder: a BusRd snoop (intervene) for a line of core 0's
+//     private region, which no other core holds;
+//   - invalidate-1-sharer: core 1 re-installs a line Shared (a cache.Fill,
+//     its state write and its mirror word, so the figure includes that
+//     re-fill), then core 0's invalidateRemotes destroys that one copy;
+//   - l2-demand: core 0's demand fetch of a line its L2 columns hold.
+//
+// Multiplied by the bus counters in Stats, these give the time the bus and
+// the L2 take out of a run.
+func BenchmarkBusOps(b *testing.B) {
+	const lines = 16
+	b.Run("lookup-no-holder", func(b *testing.B) {
+		m := busMachine(b)
+		req := m.cores[0]
+		base := memory.Addr(1) << 20 // core 0's private region in contendedTraces
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.intervene(req, base+memory.Addr(i%lines)*32)
+		}
+	})
+	b.Run("invalidate-1-sharer", func(b *testing.B) {
+		m := busMachine(b)
+		req, sharer := m.cores[0], m.cores[1]
+		base := memory.Addr(0x900000) // untouched by contendedTraces
+		all := replacement.All(2)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			line := base + memory.Addr(i%lines)*32
+			set, _ := sharer.l1.SetTagOf(line)
+			res := sharer.l1.Fill(line, all)
+			sharer.l1.SetAux(set, res.Way, StateShared)
+			m.snoopFill(sharer, set, res.Way, line)
+			m.invalidateRemotes(req, line)
+		}
+		b.StopTimer()
+		if got := m.Stats().Cores[1].InvalidationsRecv; got < int64(b.N) {
+			b.Fatalf("core 1 lost %d copies, want at least %d", got, b.N)
+		}
+	})
+	b.Run("l2-demand", func(b *testing.B) {
+		m := busMachine(b)
+		req := m.cores[0]
+		base := memory.Addr(1) << 20
+		for i := 0; i < lines; i++ {
+			m.l2Demand(req, memtrace.Access{Addr: base + memory.Addr(i)*32}, false)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.l2Demand(req, memtrace.Access{Addr: base + memory.Addr(i%lines)*32}, false)
+		}
+	})
 }

@@ -254,6 +254,7 @@ type machineSnapshot struct {
 	l1    []*cache.Snapshot
 	tlb   []*vm.TLBSnapshot
 	l2    *cache.Snapshot
+	snoop []uint64
 	cores []coreCounters
 
 	bus          BusStats
@@ -290,6 +291,7 @@ func (m *Machine) snapshotInto(s *machineSnapshot) {
 		}
 	}
 	s.l2 = m.l2.Snapshot(s.l2)
+	s.snoop = append(s.snoop[:0], m.snoop...)
 	s.bus = m.bus
 	s.dirtyCreated = m.dirtyCreated
 	s.dirtyRetired = m.dirtyRetired
@@ -334,6 +336,7 @@ func (m *Machine) restoreFrom(s *machineSnapshot) {
 		c.upgrades = cc.upgrades
 	}
 	m.l2.Restore(s.l2)
+	copy(m.snoop, s.snoop)
 	m.bus = s.bus
 	m.dirtyCreated = s.dirtyCreated
 	m.dirtyRetired = s.dirtyRetired
@@ -707,6 +710,9 @@ func (m *Machine) lookahead(c *core, lg *coreLog, horizon int64) {
 		} else {
 			l1.SetAux(set, res.Way, StateShared)
 		}
+		// Only this core's words of the mirror change here, so the
+		// lookahead goroutines never write the same word.
+		m.snoopFill(c, set, res.Way, lineAddr)
 		lg.recs = append(lg.recs, r)
 
 		est := int64(m.l2Hit)
@@ -735,25 +741,26 @@ func (m *Machine) lookahead(c *core, lg *coreLog, horizon int64) {
 // writeback race won or lost) could depend on where inside the window it
 // lands. Residence during the window decomposes exactly: any line the core
 // held — whether it hit it, filled it, or carried it in from before the
-// epoch — is either still resident at window end (a pure L1 probe hits) or
-// was displaced by one of the core's fills (recorded in victims).
+// epoch — is either still resident at window end (its word in the line's
+// snoop-mirror row) or was displaced by one of the core's fills (recorded in
+// victims).
 // Cores that ran no lookahead this epoch are exempt: their L1s are static
 // across the window, and the merge applies every transaction against them
 // in serial key order, so placement inside the window cannot matter. When
 // consider is non-nil, only active cores it reports true for are examined
 // (see mergeEpoch's direct-execution predicate).
 func (m *Machine) txConflicts(i int, line memory.Addr, logs []*coreLog, consider func(j int) bool) bool {
-	for j, lg := range logs {
-		if j == i || !lg.active {
-			continue
-		}
-		if consider != nil && !consider(j) {
-			continue
-		}
-		if _, ok := lg.victims[line]; ok {
+	examine := func(j int) bool {
+		return j != i && logs[j].active && (consider == nil || consider(j))
+	}
+	_, row, key := m.snoopLine(line)
+	for k, v := range row {
+		if v == key && examine(k/m.snoopWays) {
 			return true
 		}
-		if _, hit := m.cores[j].l1.Probe(line); hit {
+	}
+	for j, lg := range logs {
+		if _, ok := lg.victims[line]; ok && examine(j) {
 			return true
 		}
 	}

@@ -19,6 +19,9 @@ import (
 //   - Writeback ledger: every clean→Modified transition creates a dirty
 //     line, every writeback retires one, and the books balance against the
 //     lines currently in M — modified data is never dropped or duplicated.
+//   - Snoop mirror: the bus's set-major copy of the L1 tags holds exactly
+//     every core's valid lines, so the holders a bus scan finds are the
+//     holders a probe of every L1 would find.
 
 // checker is the shadow model. It exists only when Config.Checks is set.
 type checker struct {
@@ -85,8 +88,9 @@ func (m *Machine) checkStep() error {
 }
 
 // CheckInvariants walks every L1 line and verifies SWMR, state/dirty
-// consistency and the writeback ledger. It can be called at any time, with
-// or without Config.Checks; it never perturbs the simulation.
+// consistency, the writeback ledger and that the bus's snoop mirror holds
+// exactly every L1's valid tags. It can be called at any time, with or
+// without Config.Checks; it never perturbs the simulation.
 func (m *Machine) CheckInvariants() error {
 	type holder struct {
 		valid    int
@@ -94,11 +98,20 @@ func (m *Machine) CheckInvariants() error {
 	}
 	lines := make(map[memory.Addr]*holder)
 	var dirtyNow int64
+	var mirrorErr error
 	for _, c := range m.cores {
 		cfg := c.l1.Config()
 		for s := 0; s < cfg.NumSets; s++ {
 			for w := 0; w < cfg.NumWays; w++ {
 				l := c.l1.LineAt(s, w)
+				var want uint64
+				if l.Valid {
+					want = uint64(c.l1.AddrOfTag(s, l.Tag))>>m.lineShift + 1
+				}
+				if got := m.snoop[m.snoopSlot(s, c.id, w)]; got != want && mirrorErr == nil {
+					mirrorErr = fmt.Errorf("multicore: snoop mirror disagrees with core %d set %d way %d: mirror word %#x, L1 word %#x",
+						c.id, s, w, got, want)
+				}
 				if !l.Valid {
 					if l.Aux != StateInvalid {
 						return fmt.Errorf("multicore: core %d set %d way %d: invalid line carries state %s",
@@ -142,5 +155,5 @@ func (m *Machine) CheckInvariants() error {
 		return fmt.Errorf("multicore: writeback ledger broken: created %d != retired %d + resident dirty %d",
 			m.dirtyCreated, m.dirtyRetired, dirtyNow)
 	}
-	return nil
+	return mirrorErr
 }

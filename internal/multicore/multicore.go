@@ -197,6 +197,20 @@ type Machine struct {
 	check     *checker
 	violation error
 
+	// snoop mirrors every core's L1 tags in one flat slice, set-major: slot
+	// (set*cores + core)*ways + way holds the line number + 1 of the valid
+	// line at that core's (set, way), or 0. Every L1 shares one geometry, so
+	// all copies of a line sit in one contiguous row of cores*ways words,
+	// and the bus scans that row instead of probing each remote L1. The
+	// mirror changes exactly where L1 tags do: a fill stores its line in the
+	// slot its victim vacated (access, lookahead) and an invalidation clears
+	// its slot (invalidateRemotes). Checks mode compares it with the L1s.
+	snoop     []uint64
+	snoopWays int    // L1 ways: one core's words in a row
+	snoopRow  int    // cores*ways: one set's words
+	lineShift uint   // log2 of the line size
+	setMask   uint64 // L1 sets - 1
+
 	// Deterministic L2 repartition schedule: events fire inside l2Demand at
 	// exact shared-L2 access counts, so the serial and epoch-parallel
 	// steppers apply them at the same global sequence point.
@@ -309,10 +323,34 @@ func New(cfg Config) (*Machine, error) {
 			l2tint: m.l2tints.NewTint(fmt.Sprintf("core%d", i)),
 		})
 	}
+	m.snoopWays = cfg.L1.NumWays
+	m.snoopRow = len(m.cores) * cfg.L1.NumWays
+	m.snoop = make([]uint64, cfg.L1.NumSets*m.snoopRow)
+	m.lineShift = memory.Log2(cfg.L1.LineBytes)
+	m.setMask = uint64(cfg.L1.NumSets) - 1
 	if cfg.Checks {
 		m.check = newChecker(len(m.cores))
 	}
 	return m, nil
+}
+
+// snoopLine returns lineAddr's L1 set, that set's mirror row and the word a
+// copy of the line holds there.
+func (m *Machine) snoopLine(lineAddr memory.Addr) (set int, row []uint64, key uint64) {
+	n := uint64(lineAddr) >> m.lineShift
+	set = int(n & m.setMask)
+	base := set * m.snoopRow
+	return set, m.snoop[base : base+m.snoopRow], n + 1
+}
+
+// snoopSlot indexes core's (set, way) word in the mirror.
+func (m *Machine) snoopSlot(set, core, way int) int {
+	return set*m.snoopRow + core*m.snoopWays + way
+}
+
+// snoopFill records that core c's L1 now holds lineAddr at (set, way).
+func (m *Machine) snoopFill(c *core, set, way int, lineAddr memory.Addr) {
+	m.snoop[m.snoopSlot(set, c.id, way)] = uint64(lineAddr)>>m.lineShift + 1
 }
 
 // MustNew is New that panics on error.

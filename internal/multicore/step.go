@@ -240,8 +240,11 @@ func (m *Machine) access(c *core, a memtrace.Access) int64 {
 		return cyc
 	}
 
-	// L1 miss. The evicted victim leaves first: a dirty (Modified) victim is
-	// written back into the shared L2 under this core's L2 column mask.
+	// L1 miss. The fill took the victim's way, so the line's mirror word
+	// lands in the victim's slot. The evicted victim leaves first: a dirty
+	// (Modified) victim is written back into the shared L2 under this
+	// core's L2 column mask.
+	m.snoopFill(c, set, res.Way, lineAddr)
 	if res.Evicted {
 		evicted := c.l1.AddrOfTag(set, res.EvictedTag)
 		if res.Writeback {
@@ -281,24 +284,25 @@ func (m *Machine) access(c *core, a memtrace.Access) int64 {
 // invalidateRemotes serves the exclusive half of BusRdX/BusUpgr: every other
 // core's copy of lineAddr is destroyed. A remote Modified copy wins the
 // writeback race — its data is flushed to the shared L2 an instant before
-// the invalidation lands, so modified data is never lost.
+// the invalidation lands, so modified data is never lost. The holders and
+// their ways come from the line's snoop-mirror row, in core-index order.
 func (m *Machine) invalidateRemotes(req *core, lineAddr memory.Addr) {
-	for _, r := range m.cores {
-		if r == req {
+	set, row, key := m.snoopLine(lineAddr)
+	ways := m.snoopWays
+	own := req.id * ways // a miss's own fill is already in the row
+	for k, v := range row {
+		if v != key || uint(k-own) < uint(ways) {
 			continue
 		}
-		w, ok := r.l1.Probe(lineAddr)
-		if !ok {
-			continue
-		}
-		set, _ := r.l1.SetTagOf(lineAddr)
+		r, w := m.cores[k/ways], k%ways
 		if r.l1.AuxAt(set, w) == StateModified {
 			m.l2Install(r, lineAddr)
 			m.dirtyRetired++
 			m.bus.WritebackRaces++
 			req.cycles += int64(m.timing.Writeback)
 		}
-		r.l1.Invalidate(lineAddr)
+		r.l1.InvalidateWay(set, w)
+		row[k] = 0
 		m.bus.Invalidations++
 		r.invalidationsRecv++
 		m.noteDrop(r, lineAddr)
@@ -308,17 +312,16 @@ func (m *Machine) invalidateRemotes(req *core, lineAddr memory.Addr) {
 // intervene serves a BusRd: if some core holds lineAddr Modified, it supplies
 // the data — written back to the shared L2 so the requestor's fill finds it —
 // and downgrades its own copy to Shared (clean). SWMR guarantees at most one
-// such copy exists.
+// such copy exists; the line's snoop-mirror row names every holder.
 func (m *Machine) intervene(req *core, lineAddr memory.Addr) {
-	for _, r := range m.cores {
-		if r == req {
+	set, row, key := m.snoopLine(lineAddr)
+	ways := m.snoopWays
+	own := req.id * ways // a miss's own fill is already in the row
+	for k, v := range row {
+		if v != key || uint(k-own) < uint(ways) {
 			continue
 		}
-		w, ok := r.l1.Probe(lineAddr)
-		if !ok {
-			continue
-		}
-		set, _ := r.l1.SetTagOf(lineAddr)
+		r, w := m.cores[k/ways], k%ways
 		if r.l1.AuxAt(set, w) != StateModified {
 			continue
 		}
